@@ -46,7 +46,9 @@ class ParticleState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    time_step: float               # s (fixed-step; also max step for rk45)
+    # s, the rk4 step; rk45 chooses its own steps and uses
+    # time_step * sample_stride only as its output grid
+    time_step: float
     total_time: float              # s
     method: str = "rk4"            # "rk4" (fixed step) or "rk45" (adaptive)
     rel_tol: float = 1e-9          # adaptive only
@@ -87,33 +89,36 @@ class Trajectory:
         return self.positions[:, idx]
 
 
-def _coefficients(species: IonSpecies, trap: TrapConfig, rot: RotationInput):
+def _generator(species: IonSpecies, trap: TrapConfig, rot: RotationInput) -> np.ndarray:
+    """The force law as the 6x6 generator A of du/dt = A u, u = (r, v).
+
+    This is the only copy of the equation of motion: acceleration,
+    eom_derivative and both integrators read their coefficients from it.
+    """
     wz2 = axial_frequency_squared(species, trap)
     # signed Lorentz coefficient: q/m * B, sign of the charge kept
     wc = species.charge * trap.b_field / species.mass
-    return wz2, wc, rot.omega_x
+    cor = 2.0 * rot.omega_x
+    gen = np.zeros((6, 6))
+    gen[:3, 3:] = np.eye(3)
+    gen[3:, :3] = np.diag([0.5 * wz2, 0.5 * wz2, -wz2])
+    gen[3:, 3:] = [[0.0, wc, 0.0],
+                   [-wc, 0.0, cor],
+                   [0.0, -cor, 0.0]]
+    return gen
 
 
 def acceleration(position, velocity, species: IonSpecies, trap: TrapConfig,
                  rot: RotationInput) -> np.ndarray:
     """Total acceleration at one phase-space point."""
-    wz2, wc, ox = _coefficients(species, trap, rot)
-    x, y, z = position
-    vx, vy, vz = velocity
-    return np.array([
-        0.5 * wz2 * x + wc * vy,
-        0.5 * wz2 * y - wc * vx + 2.0 * ox * vz,
-        -wz2 * z - 2.0 * ox * vy,
-    ])
+    return _generator(species, trap, rot)[3:] @ np.concatenate([position, velocity])
 
 
 def eom_derivative(state: ParticleState, species: IonSpecies, trap: TrapConfig,
                    rot: RotationInput) -> ParticleState:
     """Phase-space time derivative: (velocity, acceleration)."""
-    return ParticleState(
-        position=state.velocity.copy(),
-        velocity=acceleration(state.position, state.velocity, species, trap, rot),
-    )
+    du = _generator(species, trap, rot) @ np.concatenate([state.position, state.velocity])
+    return ParticleState(position=du[:3], velocity=du[3:])
 
 
 def magnetron_orbit_state(radius: float, modes: ModeFrequencies) -> ParticleState:
@@ -128,48 +133,38 @@ def magnetron_orbit_state(radius: float, modes: ModeFrequencies) -> ParticleStat
     )
 
 
-def _integrate_rk4(y0, wz2, wc, ox, dt, n_steps, stride):
-    n_samples = n_steps // stride + 1
-    out = np.empty((n_samples, 6))
-    out[0] = y0
-    x, y, z, vx, vy, vz = y0
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    k = 1
-    for step in range(1, n_steps + 1):
-        # k1
-        a1x = 0.5 * wz2 * x + wc * vy
-        a1y = 0.5 * wz2 * y - wc * vx + 2.0 * ox * vz
-        a1z = -wz2 * z - 2.0 * ox * vy
-        # k2 at midpoint using k1
-        x2 = x + half * vx; y2 = y + half * vy; z2 = z + half * vz
-        vx2 = vx + half * a1x; vy2 = vy + half * a1y; vz2 = vz + half * a1z
-        a2x = 0.5 * wz2 * x2 + wc * vy2
-        a2y = 0.5 * wz2 * y2 - wc * vx2 + 2.0 * ox * vz2
-        a2z = -wz2 * z2 - 2.0 * ox * vy2
-        # k3 at midpoint using k2
-        x3 = x + half * vx2; y3 = y + half * vy2; z3 = z + half * vz2
-        vx3 = vx + half * a2x; vy3 = vy + half * a2y; vz3 = vz + half * a2z
-        a3x = 0.5 * wz2 * x3 + wc * vy3
-        a3y = 0.5 * wz2 * y3 - wc * vx3 + 2.0 * ox * vz3
-        a3z = -wz2 * z3 - 2.0 * ox * vy3
-        # k4 at endpoint using k3
-        x4 = x + dt * vx3; y4 = y + dt * vy3; z4 = z + dt * vz3
-        vx4 = vx + dt * a3x; vy4 = vy + dt * a3y; vz4 = vz + dt * a3z
-        a4x = 0.5 * wz2 * x4 + wc * vy4
-        a4y = 0.5 * wz2 * y4 - wc * vx4 + 2.0 * ox * vz4
-        a4z = -wz2 * z4 - 2.0 * ox * vy4
+# Samples per block of precomputed step-matrix powers in the rk4 path:
+# 256 (6, 6) powers are 74 kB, while all of them for a long run would be
+# tens of MB.
+_SAMPLE_BLOCK = 256
 
-        x += sixth * (vx + 2.0 * (vx2 + vx3) + vx4)
-        y += sixth * (vy + 2.0 * (vy2 + vy3) + vy4)
-        z += sixth * (vz + 2.0 * (vz2 + vz3) + vz4)
-        vx += sixth * (a1x + 2.0 * (a2x + a3x) + a4x)
-        vy += sixth * (a1y + 2.0 * (a2y + a3y) + a4y)
-        vz += sixth * (a1z + 2.0 * (a2z + a3z) + a4z)
-        if step % stride == 0:
-            out[k] = (x, y, z, vx, vy, vz)
-            k += 1
-    return out[:k]
+
+def _rk4_samples(gen: np.ndarray, u0: np.ndarray, dt: float, n_samples: int,
+                 stride: int) -> np.ndarray:
+    """Classical RK4 applied as its step matrix, sampled every stride steps.
+
+    For du/dt = A u one RK4 step is exactly u <- M u with
+    M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 (Moler & Van Loan, SIAM
+    Rev. 45, 3 (2003)).  Samples are written a block at a time as
+    S^k u, k < _SAMPLE_BLOCK, with S = M^stride; u then jumps by
+    S^_SAMPLE_BLOCK.
+    """
+    ha = dt * gen
+    eye = np.eye(6)
+    step = eye + ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
+    sample_step = np.linalg.matrix_power(step, stride)
+    powers = np.empty((_SAMPLE_BLOCK, 6, 6))
+    powers[0] = eye
+    for k in range(1, _SAMPLE_BLOCK):
+        powers[k] = sample_step @ powers[k - 1]
+    block_step = sample_step @ powers[-1]
+    out = np.empty((n_samples, 6))
+    u = u0
+    for start in range(0, n_samples, _SAMPLE_BLOCK):
+        block = out[start:start + _SAMPLE_BLOCK]
+        block[:] = powers[:block.shape[0]] @ u
+        u = block_step @ u
+    return out
 
 
 def integrate(state0: ParticleState, species: IonSpecies, trap: TrapConfig,
@@ -179,26 +174,18 @@ def integrate(state0: ParticleState, species: IonSpecies, trap: TrapConfig,
     rk4 samples at exactly time_step * sample_stride spacing; rk45 uses
     scipy's adaptive RK45 evaluated on the same uniform output grid.
     """
-    wz2, wc, ox = _coefficients(species, trap, rot)
+    gen = _generator(species, trap, rot)
     y0 = np.concatenate([state0.position, state0.velocity])
     n_steps = int(round(cfg.total_time / cfg.time_step))
+    times = np.arange(n_steps // cfg.sample_stride + 1) * (
+        cfg.time_step * cfg.sample_stride)
     if cfg.method == "rk4":
-        samples = _integrate_rk4(y0, wz2, wc, ox, cfg.time_step, n_steps,
-                                 cfg.sample_stride)
-        times = np.arange(samples.shape[0]) * (cfg.time_step * cfg.sample_stride)
+        samples = _rk4_samples(gen, y0, cfg.time_step, times.size,
+                               cfg.sample_stride)
     else:
-        times = np.arange(n_steps // cfg.sample_stride + 1) * (
-            cfg.time_step * cfg.sample_stride)
-
-        def rhs(_t, u):
-            x, y, z, vx, vy, vz = u
-            return (vx, vy, vz,
-                    0.5 * wz2 * x + wc * vy,
-                    0.5 * wz2 * y - wc * vx + 2.0 * ox * vz,
-                    -wz2 * z - 2.0 * ox * vy)
-
-        sol = solve_ivp(rhs, (0.0, float(times[-1])), y0, method="RK45",
-                        t_eval=times, rtol=cfg.rel_tol, atol=cfg.abs_tol)
+        sol = solve_ivp(lambda _t, u: gen @ u, (0.0, float(times[-1])), y0,
+                        method="RK45", t_eval=times, rtol=cfg.rel_tol,
+                        atol=cfg.abs_tol)
         if not sol.success:
             raise IntegrationError(
                 f"adaptive step failure near t={sol.t[-1] if sol.t.size else 0.0:.6g} s: "

@@ -1,6 +1,6 @@
 """Cold-fluid spheroid model of the rotating crystal.
 
-Two independent routes to the aspect ratio are shipped side by side:
+Two forms of one shape relation are shipped side by side:
 
 * ``aspect_ratio_from_beta`` solves the cold-fluid shape relation written
   with the k0/k1 intermediates.  The published grouping of that relation,
@@ -9,12 +9,18 @@ Two independent routes to the aspect ratio are shipped side by side:
   equal 3/(2*beta+1) <= 3 for beta > 0: it has no root.  The single
   repaired reading that admits roots inserts the evidently dropped minus,
   k1 * [(1-k0^2)^(-1/2) - asin(k0)/k0], and that is what is solved here.
-* ``oracle_aspect_ratio_depolarization`` triangulates via the uniform
-  spheroid depolarization coefficients (A_perp/A_z balance) without ever
-  forming k0/k1.
+* ``oracle_aspect_ratio_depolarization`` solves the balance of the
+  uniform spheroid depolarization coefficients, beta = A_perp/A_z,
+  without forming k0/k1.
 
-Both are monotone in beta and agree to root-finder precision; the CLI
-still cross-prints them and warns on >10% disagreement.
+The two are not independent: ``cold_fluid_residual`` equals
+3/(2 beta + 1) - 3 * ``axial_depolarization(alpha)`` identically (to
+1e-14 in floating point), so both routes find the root of
+A_z(alpha) = 1/(2 beta + 1).  Their agreement checks the code, not the
+physics, and the CLI's warning on >10% disagreement guards against a
+coding slip only.  The independent checks are the arctan closed form of
+A_z that acceptance criterion 5 solves without this module, and the
+second moments of the relaxed N-body crystal in ``equilibrium``.
 """
 from __future__ import annotations
 
@@ -165,7 +171,11 @@ def aspect_ratio_from_beta(beta: float) -> float:
 
 
 def oracle_aspect_ratio_depolarization(beta: float) -> float:
-    """Independent cross-check via depolarization coefficients."""
+    """Aspect ratio from the depolarization balance beta = A_perp/A_z.
+
+    The same relation as ``aspect_ratio_from_beta`` in another form, so
+    agreement between the two checks the code, not the physics.
+    """
     if not (0.0 < beta < 1.0):
         raise ValueError("oblate branch requires 0 < beta < 1")
     return _bracketed_root(_depolarization_residual, beta).alpha

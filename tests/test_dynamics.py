@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from penning_gyro.core import RotationInput
+from penning_gyro.core import RotationInput, TrapConfig
 from penning_gyro.dynamics import (
+    _SAMPLE_BLOCK,
     IntegratorConfig,
     ParticleState,
     Trajectory,
@@ -12,6 +13,7 @@ from penning_gyro.dynamics import (
     default_time_step,
     driven_amplitude,
     energy,
+    eom_derivative,
     extract_spectrum,
     integrate,
     magnetron_orbit_state,
@@ -19,6 +21,7 @@ from penning_gyro.dynamics import (
     write_spectrum_csv,
     write_trajectory_csv,
 )
+from penning_gyro.modes import compute_modes
 
 NO_ROTATION = RotationInput(0.0)
 
@@ -75,6 +78,61 @@ def test_rk4_matches_rk45(ca40, trap10, modes10):
     t4 = integrate(state0, ca40, trap10, RotationInput(5.0), cfg4)
     t45 = integrate(state0, ca40, trap10, RotationInput(5.0), cfg45)
     assert np.allclose(t4.positions, t45.positions, rtol=0.0, atol=2e-11)
+
+
+@pytest.mark.parametrize("voltage", [10.0, 100.0])
+def test_generator_eigenvalues_are_mode_frequencies(ca40, voltage):
+    trap = TrapConfig(b_field=1.0, trap_voltage=voltage, char_length_z0=0.01)
+    modes = compute_modes(ca40, trap)
+    # column j of the generator is the time derivative of the j-th unit state
+    columns = []
+    for e in np.eye(6):
+        d = eom_derivative(ParticleState(position=e[:3], velocity=e[3:]),
+                           ca40, trap, NO_ROTATION)
+        columns.append(np.concatenate([d.position, d.velocity]))
+    eigenvalues = np.linalg.eigvals(np.column_stack(columns))
+    omegas = np.array([modes.omega_m, modes.omega_z, modes.omega_cap_m])
+    expected = 1j * np.sort(np.concatenate([omegas, -omegas]))
+    got = eigenvalues[np.argsort(eigenvalues.imag)]
+    assert np.all(np.abs(got - expected) <= 1e-9 * np.abs(expected))
+
+
+def _per_step_rk4(u0, ca40, trap, rot, dt, n_steps):
+    """Textbook RK4 around acceleration, one step at a time, every step kept."""
+    def f(u):
+        return np.concatenate([u[3:], acceleration(u[:3], u[3:], ca40, trap, rot)])
+
+    out = [u0]
+    u = u0
+    for _ in range(n_steps):
+        k1 = f(u)
+        k2 = f(u + 0.5 * dt * k1)
+        k3 = f(u + 0.5 * dt * k2)
+        k4 = f(u + dt * k3)
+        u = u + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        out.append(u)
+    return np.array(out)
+
+
+def test_rk4_propagator_matches_per_step_rk4(ca40, trap10, modes10):
+    state0 = ParticleState(position=np.array([10e-6, -4e-6, 5e-6]),
+                           velocity=np.array([0.3, 0.1, -0.2]))
+    rot = RotationInput(5.0)
+    dt = default_time_step(ca40, trap10)
+    n_steps = 1201  # divisible by neither 3 nor 4
+    reference = _per_step_rk4(np.concatenate([state0.position, state0.velocity]),
+                              ca40, trap10, rot, dt, n_steps)
+    for stride in (1, 3, 4):
+        cfg = IntegratorConfig(time_step=dt, total_time=n_steps * dt,
+                               sample_stride=stride)
+        traj = integrate(state0, ca40, trap10, rot, cfg)
+        n_samples = n_steps // stride + 1
+        assert traj.times.size == n_samples > _SAMPLE_BLOCK
+        assert np.array_equal(traj.times, np.arange(n_samples) * (dt * stride))
+        want = reference[::stride]
+        got = np.column_stack([traj.positions, traj.velocities])
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 def test_energy_conserved_without_rotation(ca40, trap10, modes10):
@@ -145,6 +203,10 @@ def test_acceleration_components(ca40, trap10):
     a = acceleration(np.zeros(3), np.array([0.0, 0.0, 1.0]), ca40, trap10,
                      RotationInput(2.0))
     assert a[1] == pytest.approx(4.0)
+    # and the reaction: y velocity drives -z
+    a = acceleration(np.zeros(3), np.array([0.0, 1.0, 0.0]), ca40, trap10,
+                     RotationInput(2.0))
+    assert a[2] == pytest.approx(-4.0)
 
 
 def test_spectrum_csv_schema(ca40, trap10, modes10, tmp_path):
