@@ -23,7 +23,6 @@ from .dynamics import (
 )
 from .shape import (
     RotatingWallConfig,
-    ShapeParams,
     SpheroidGeometry,
     aspect_ratio_from_beta,
     oracle_aspect_ratio_depolarization,

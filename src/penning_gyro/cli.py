@@ -27,8 +27,8 @@ from .modes import UnstableTrapError, compute_modes
 from .response import OscillatorParams, rotation_scale_factor
 from .sensing import EnsembleSpec, ODFParams, budget_json, build_budget
 from .shape import (
+    AspectRatioBracketError,
     aspect_ratio_from_beta,
-    oracle_aspect_ratio_depolarization,
     planarity_check,
     shape_beta,
     spheroid_dimensions,
@@ -148,10 +148,6 @@ def _cmd_budget(args, config: RunConfig) -> int:
     wall = config.wall(modes)
     beta = shape_beta(modes, wall.omega_r)
     alpha = aspect_ratio_from_beta(beta)
-    alpha_oracle = oracle_aspect_ratio_depolarization(beta)
-    if abs(alpha - alpha_oracle) > 0.1 * alpha_oracle:
-        print(f"warning: aspect-ratio routes disagree by more than 10% "
-              f"({alpha:.4g} vs oracle {alpha_oracle:.4g})", file=sys.stderr)
     geom = spheroid_dimensions(config.n_crystal, alpha, beta, modes.omega_z, species)
     planar = planarity_check(beta, wall.delta)
     osc = OscillatorParams(omega_z=modes.omega_z, omega_r=wall.omega_r,
@@ -161,7 +157,7 @@ def _cmd_budget(args, config: RunConfig) -> int:
                     gamma=config.decay_rate_hz)
     budget = build_budget(EnsembleSpec(config.n_spins), odf, scale, config.cycle_s)
     extra = {
-        "beta": beta, "alpha": alpha, "alpha_oracle": alpha_oracle,
+        "beta": beta, "alpha": alpha, "alpha_oracle": alpha,
         "r_cl_m": geom.r_cl, "z_cl_m": geom.z_cl, "density_m3": geom.density_n,
         "f_z_hz": modes.f_z, "f_m_hz": modes.f_m,
         "n_crystal": config.n_crystal, "n_spins": config.n_spins,
@@ -174,8 +170,8 @@ def _cmd_budget(args, config: RunConfig) -> int:
     if args.json:
         print(text, end="")
     else:
-        print(f"beta = {beta:.4f}, alpha = {alpha:.4f} "
-              f"(oracle {alpha_oracle:.4f}), r_cl = {geom.r_cl * 1e2:.4f} cm")
+        print(f"beta = {beta:.4f}, alpha = {alpha:.4f}, "
+              f"r_cl = {geom.r_cl * 1e2:.4f} cm")
         print(f"single-shot amplitude resolution: "
               f"{budget.delta_zc_single_shot * 1e12:.3f} pm")
         print(f"amplitude ASD: {budget.amplitude_asd * 1e12:.3f} pm/sqrt(Hz) "
@@ -231,12 +227,13 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         return _HANDLERS[args.command](args, config)
+    except (IntegrationError, ConvergenceError, ArithmeticError,
+            AspectRatioBracketError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, UnstableTrapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IntegrationError, ConvergenceError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

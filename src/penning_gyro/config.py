@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .core import SPECIES_REGISTRY, IonSpecies, RotationInput, TrapConfig
+from .core import SPECIES_REGISTRY, IonSpecies, TrapConfig
 from .modes import ModeFrequencies, compute_modes
 from .shape import RotatingWallConfig
 
@@ -26,7 +26,6 @@ class RunConfig:
     b_field_t: float = 1.0
     trap_voltage_v: float = 100.0
     char_length_m: float = 0.01
-    omega_x_rad_s: float = 0.0
     # rotating wall: omega_r = wall_ratio * omega_z unless an absolute
     # frequency is given
     wall_ratio: float = 1.0
@@ -40,11 +39,6 @@ class RunConfig:
     decay_rate_hz: float = 100.0
     precession_s: float = 0.01
     cycle_s: float = 0.05
-    # integrator
-    time_step_s: float = 0.0         # 0 means T_fastest/200
-    total_time_s: float = 2e-3
-    sample_stride: int = 1
-    method: str = "rk4"
     seed: int = 0
 
     def ion(self) -> IonSpecies:
@@ -61,9 +55,6 @@ class RunConfig:
                               char_length_z0=self.char_length_m)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-    def rotation(self) -> RotationInput:
-        return RotationInput(omega_x=self.omega_x_rad_s)
 
     def modes(self) -> ModeFrequencies:
         return compute_modes(self.ion(), self.trap())

@@ -25,8 +25,8 @@ from .core import IonSpecies
 from .modes import ModeFrequencies
 from .shape import (
     RotatingWallConfig,
+    aspect_ratio_from_beta,
     coulomb_trap_length,
-    oracle_aspect_ratio_depolarization,
     shape_beta,
     spheroid_dimensions,
 )
@@ -211,7 +211,7 @@ def relax(n_ions: int, species: IonSpecies, modes: ModeFrequencies,
         report = ConvergenceReport(True, 0.0, 0.0, 0, 0)
         return config, report
 
-    alpha_guess = oracle_aspect_ratio_depolarization(min(beta, 0.999))
+    alpha_guess = aspect_ratio_from_beta(min(beta, 0.999))
     r_guess = spheroid_dimensions(n_ions, alpha_guess, beta, modes.omega_z,
                                   species).r_cl / a0
     u = _hex_patch(n_ions, r_guess, rng)

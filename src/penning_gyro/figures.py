@@ -114,7 +114,8 @@ def fig4_shape_collapse(config: RunConfig, outdir: str) -> list[str]:
                 omega_r = _omega_r_from_beta(modes, beta)
                 alphas.append(aspect_ratio_from_beta(shape_beta(modes, omega_r)))
             spread = max(abs(a - b) / a for a in alphas for b in alphas)
-            writer.writerow([repr(1.0 / (2.0 * beta + 1.0)), repr(float(beta))]
+            writer.writerow([repr(float(1.0 / (2.0 * beta + 1.0))),
+                             repr(float(beta))]
                             + [repr(a) for a in alphas] + [repr(spread)])
     return [path]
 

@@ -121,5 +121,5 @@ def write_sweep_csv(points: Sequence[SweepPoint], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["b_tesla", "v_volts", "fz_minus_fm_hz"])
         for p in points:
-            value = "" if p.fz_minus_fm is None else repr(p.fz_minus_fm)
-            writer.writerow([repr(p.b_field), repr(p.voltage), value])
+            writer.writerow(["" if v is None else repr(float(v))
+                             for v in (p.b_field, p.voltage, p.fz_minus_fm)])

@@ -1,34 +1,29 @@
 """Cold-fluid spheroid model of the rotating crystal.
 
-Two forms of one shape relation are shipped side by side:
+One relation fixes the shape: the axial depolarization coefficient of the
+uniform spheroid equals the confinement it balances,
+A_z(alpha) = 1/(2 beta + 1).  ``aspect_ratio_root`` is its only solver; it
+works on ``cold_fluid_residual``, the relation written with the k0/k1
+intermediates.  The published grouping of that relation,
+k1 * [(1-k0^2)^(-1/2) * asin(k0)/k0], simplifies to 3*asin(k0)/k0^3 which
+is >= 3pi/2 on the whole oblate branch and therefore can never equal
+3/(2*beta+1) <= 3 for beta > 0: it has no root.  The single repaired
+reading that admits roots inserts the evidently dropped minus,
+k1 * [(1-k0^2)^(-1/2) - asin(k0)/k0], and that is what is solved here.
 
-* ``aspect_ratio_from_beta`` solves the cold-fluid shape relation written
-  with the k0/k1 intermediates.  The published grouping of that relation,
-  k1 * [(1-k0^2)^(-1/2) * asin(k0)/k0], simplifies to 3*asin(k0)/k0^3
-  which is >= 3pi/2 on the whole oblate branch and therefore can never
-  equal 3/(2*beta+1) <= 3 for beta > 0: it has no root.  The single
-  repaired reading that admits roots inserts the evidently dropped minus,
-  k1 * [(1-k0^2)^(-1/2) - asin(k0)/k0], and that is what is solved here.
-* ``oracle_aspect_ratio_depolarization`` solves the balance of the
-  uniform spheroid depolarization coefficients, beta = A_perp/A_z,
-  without forming k0/k1.
-
-The two are not independent: ``cold_fluid_residual`` equals
-3/(2 beta + 1) - 3 * ``axial_depolarization(alpha)`` identically (to
-1e-14 in floating point), so both routes find the root of
-A_z(alpha) = 1/(2 beta + 1).  Their agreement checks the code, not the
-physics, and the CLI's warning on >10% disagreement guards against a
-coding slip only.  The independent checks are the arctan closed form of
-A_z that acceptance criterion 5 solves without this module, and the
-second moments of the relaxed N-body crystal in ``equilibrium``.
+The repaired residual equals 3/(2 beta + 1) - 3 * ``axial_depolarization``
+(to 1e-14 in floating point).  A_z falls from 1 to 1/3 as alpha goes from
+0 to 1, so the residual rises strictly with alpha and has at most one
+root.  The independent checks are the arctan closed form of A_z that
+acceptance criterion 5 solves without this module, and the second moments
+of the relaxed N-body crystal in ``equilibrium``.
 """
 from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from scipy.optimize import brentq
 
@@ -60,14 +55,6 @@ class RotatingWallConfig:
             raise ValueError("delta must lie in [0, 1)")
         if not self.omega_r > 0.0:
             raise ValueError("omega_r must be positive")
-
-
-@dataclass(frozen=True)
-class ShapeParams:
-    beta: float
-    alpha: float
-    k0: float
-    k1: float
 
 
 @dataclass(frozen=True)
@@ -112,57 +99,40 @@ def axial_depolarization(alpha: float) -> float:
     return (1.0 - alpha * math.asin(ecc) / ecc) / ecc ** 2
 
 
-def _depolarization_residual(alpha: float, beta: float) -> float:
-    a_z = axial_depolarization(alpha)
-    a_perp = 0.5 * (1.0 - a_z)
-    return beta - a_perp / a_z
-
-
 @dataclass(frozen=True)
 class AspectRatioRoot:
     alpha: float
     residual: float
-    n_roots: int
+    n_roots: int      # always 1: the residual rises strictly with alpha
 
 
-_SCAN_LO = 1e-6
-_SCAN_HI = 1.0 - 1e-6
-_SCAN_STEP = 1e-3
-
-
-def _bracketed_root(residual: Callable[[float, float], float],
-                    beta: float) -> AspectRatioRoot:
-    """Scan [1e-6, 1-1e-6] at 1e-3 resolution, then refine each bracket."""
-    n = int((_SCAN_HI - _SCAN_LO) / _SCAN_STEP) + 1
-    alphas = [_SCAN_LO + i * _SCAN_STEP for i in range(n)]
-    if alphas[-1] < _SCAN_HI:
-        alphas.append(_SCAN_HI)
-    values = [residual(a, beta) for a in alphas]
-    roots: list[float] = []
-    for i in range(len(alphas) - 1):
-        lo, hi = values[i], values[i + 1]
-        if lo == 0.0:
-            roots.append(alphas[i])
-        elif lo * hi < 0.0:
-            roots.append(brentq(residual, alphas[i], alphas[i + 1],
-                                args=(beta,), xtol=1e-15, rtol=8.9e-16))
-    if not roots:
-        raise AspectRatioBracketError(
-            f"shape relation has no sign change on ({_SCAN_LO}, {_SCAN_HI}) "
-            f"for beta={beta:.6g}", alphas, values)
-    if len(roots) > 1:
-        warnings.warn(f"{len(roots)} aspect-ratio roots for beta={beta:.6g}; "
-                      "returning the smallest")
-    alpha = min(roots)
-    return AspectRatioRoot(alpha=alpha, residual=residual(alpha, beta),
-                           n_roots=len(roots))
+# the 1001 trial aspect ratios: 1e-3 steps from 1e-6, then 1 - 1e-6
+_ALPHA_GRID = tuple([1e-6 + i * 1e-3 for i in range(1000)] + [1.0 - 1e-6])
 
 
 def aspect_ratio_root(beta: float) -> AspectRatioRoot:
-    """Root of the k0/k1 relation with its residual attached."""
+    """Root of the k0/k1 relation with its residual attached.
+
+    Walks the grid to the first cell where the residual changes sign (or
+    is exactly zero) and refines that cell with brentq.
+    """
     if not (0.0 < beta < 1.0):
         raise ValueError("oblate branch requires 0 < beta < 1")
-    return _bracketed_root(cold_fluid_residual, beta)
+    values = []
+    for i, alpha in enumerate(_ALPHA_GRID):
+        value = cold_fluid_residual(alpha, beta)
+        if values and values[-1] * value < 0.0:
+            alpha = brentq(cold_fluid_residual, _ALPHA_GRID[i - 1], alpha,
+                           args=(beta,), xtol=1e-15, rtol=8.9e-16)
+            return AspectRatioRoot(alpha=alpha,
+                                   residual=cold_fluid_residual(alpha, beta),
+                                   n_roots=1)
+        if value == 0.0:
+            return AspectRatioRoot(alpha=alpha, residual=value, n_roots=1)
+        values.append(value)
+    raise AspectRatioBracketError(
+        f"shape relation has no sign change on ({_ALPHA_GRID[0]}, "
+        f"{_ALPHA_GRID[-1]}) for beta={beta:.6g}", list(_ALPHA_GRID), values)
 
 
 def aspect_ratio_from_beta(beta: float) -> float:
@@ -171,22 +141,9 @@ def aspect_ratio_from_beta(beta: float) -> float:
 
 
 def oracle_aspect_ratio_depolarization(beta: float) -> float:
-    """Aspect ratio from the depolarization balance beta = A_perp/A_z.
-
-    The same relation as ``aspect_ratio_from_beta`` in another form, so
-    agreement between the two checks the code, not the physics.
-    """
-    if not (0.0 < beta < 1.0):
-        raise ValueError("oblate branch requires 0 < beta < 1")
-    return _bracketed_root(_depolarization_residual, beta).alpha
-
-
-def shape_params(modes: ModeFrequencies, omega_r: float) -> ShapeParams:
-    beta = shape_beta(modes, omega_r)
-    alpha = aspect_ratio_from_beta(beta)
-    k0 = math.sqrt(1.0 - alpha * alpha)
-    return ShapeParams(beta=beta, alpha=alpha, k0=k0,
-                       k1=3.0 * math.sqrt(1.0 - k0 * k0) / k0 ** 2)
+    """The same solve as ``aspect_ratio_from_beta``, kept as its own
+    function for the callers that name it."""
+    return aspect_ratio_from_beta(beta)
 
 
 def coulomb_trap_length(species: IonSpecies, omega_z: float) -> float:
@@ -274,9 +231,7 @@ def write_shape_csv(rows: Sequence[ShapeSweepRow], path) -> None:
         writer.writerow(["omega_r_rad_s", "omega_r_over_omega_z",
                          "normalized_freq", "beta", "alpha", "r_cl_m", "z_cl_m"])
         for r in rows:
-            writer.writerow([
-                repr(r.omega_r), repr(r.omega_r_over_omega_z),
-                repr(r.normalized_freq), repr(r.beta),
-                "" if r.alpha is None else repr(r.alpha),
-                "" if r.r_cl is None else repr(r.r_cl),
-                "" if r.z_cl is None else repr(r.z_cl)])
+            writer.writerow(["" if v is None else repr(float(v))
+                             for v in (r.omega_r, r.omega_r_over_omega_z,
+                                       r.normalized_freq, r.beta, r.alpha,
+                                       r.r_cl, r.z_cl)])

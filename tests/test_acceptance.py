@@ -208,6 +208,15 @@ def test_criterion_06_shape_relation_triangulation():
             f"{anchor:.4f}")
 
 
+def test_shape_solver_matches_arctan_closed_form():
+    # the package's solver against criterion 5's closed form, which shares
+    # no code with penning_gyro.shape
+    betas = np.linspace(0.01, 0.99, 99)
+    worst = max(abs(aspect_ratio_from_beta(b) / _closed_form_alpha(b) - 1.0)
+                for b in betas)
+    assert worst <= 1e-9, f"max relative deviation {worst:.2e}"
+
+
 def test_criterion_07_spheroid_dimensions():
     modes = compute_modes(CA40, TRAP100)
     geom = spheroid_dimensions(1000, 0.16, 0.05, modes.omega_z, CA40)

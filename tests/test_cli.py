@@ -1,9 +1,11 @@
 import csv
 import json
+import math
 
 import pytest
 
-from penning_gyro.cli import EXIT_CONFIG, EXIT_OK, main
+from penning_gyro.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from penning_gyro.config import RunConfig
 
 
 def run(argv, capsys):
@@ -44,6 +46,24 @@ def test_unknown_field_exit_code(capsys):
     assert "unknown field" in err
 
 
+def test_removed_integrator_field_is_unknown(capsys):
+    code, _, err = run(["--set", "method=rk45", "budget"], capsys)
+    assert code == EXIT_CONFIG
+    assert "unknown field" in err
+
+
+def test_shape_bracket_failure_is_numerical(tmp_path, capsys):
+    # wall frequency at the lower root of omega_r (omega_c - omega_r)
+    # = (beta + 1/2) omega_z^2 for beta = 1e-7: no sign change to refine
+    modes = RunConfig().modes()
+    disc = modes.omega_c ** 2 - 4.0 * (1e-7 + 0.5) * modes.omega_z ** 2
+    omega_r = 0.5 * (modes.omega_c - math.sqrt(disc))
+    code, _, err = run(["--output-dir", str(tmp_path), "--set",
+                        f"wall_freq_rad_s={omega_r!r}", "budget"], capsys)
+    assert code == EXIT_NUMERICAL
+    assert "no sign change" in err
+
+
 def test_malformed_set_flag(capsys):
     code, _, err = run(["--set", "novalue", "modes"], capsys)
     assert code == EXIT_CONFIG
@@ -81,6 +101,23 @@ def test_fig5_csv_schema(tmp_path, capsys):
     assert code == EXIT_OK
     header = (tmp_path / "fig5_shape_vs_wall.csv").read_text().splitlines()[0]
     assert header == "v_volts,omega_r_rad_s,omega_r_over_omega_z,beta,alpha"
+
+
+def test_figure_csv_cells_are_plain_numbers(tmp_path, capsys):
+    for fig_id in range(1, 7):
+        code, _, _ = run(["--output-dir", str(tmp_path), "fig", str(fig_id)],
+                         capsys)
+        assert code == EXIT_OK
+    paths = sorted(tmp_path.glob("fig*.csv"))
+    assert len(paths) == 7
+    for path in paths:
+        with open(path) as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows
+        for row in rows:
+            for cell in row:
+                if cell:
+                    float(cell)
 
 
 def test_unknown_figure_id(capsys):

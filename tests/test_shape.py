@@ -3,9 +3,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from penning_gyro import shape
 from penning_gyro.core import CA40
 from penning_gyro.shape import (
     PLANARITY_THRESHOLD,
+    AspectRatioBracketError,
     RotatingWallConfig,
     WallFrequencyError,
     aspect_ratio_from_beta,
@@ -76,6 +78,21 @@ def test_both_routes_monotone_in_beta():
     oracle = [oracle_aspect_ratio_depolarization(b) for b in betas]
     assert all(a < b for a, b in zip(primary, primary[1:]))
     assert all(a < b for a, b in zip(oracle, oracle[1:]))
+
+
+def test_residual_rises_strictly_on_the_scan_grid():
+    # the premise of returning the first root: one sign change at most
+    for beta in (1e-7, 1e-3, 0.054, *(k / 100 for k in range(1, 100)), 0.999):
+        values = [cold_fluid_residual(a, beta) for a in shape._ALPHA_GRID]
+        assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def test_tiny_beta_has_no_bracket():
+    # at beta = 1e-7 the root lies below the first grid point
+    with pytest.raises(AspectRatioBracketError) as info:
+        aspect_ratio_root(1e-7)
+    assert len(info.value.alphas) == len(info.value.residuals) == 1001
+    assert min(info.value.residuals) > 0.0
 
 
 def test_aspect_ratio_domain():
