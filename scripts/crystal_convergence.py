@@ -40,8 +40,7 @@ def main() -> int:
     for n in sizes:
         t0 = time.time()
         config, report = relax(n, CA40, modes, wall,
-                               RelaxationConfig(initial_seed=0,
-                                                annealing_restarts=0))
+                               RelaxationConfig(initial_seed=0))
         stats = measured_shape(config)
         pos = config.positions
         z2 = np.mean(pos[:, 2] ** 2)

@@ -39,6 +39,12 @@ class ConvergenceError(RuntimeError):
         self.report = report
 
 
+def _nearest_neighbor_distances(positions: np.ndarray) -> np.ndarray:
+    tree = cKDTree(positions)
+    d, _ = tree.query(positions, k=2)
+    return d[:, 1]
+
+
 @dataclass(frozen=True)
 class IonConfiguration:
     positions: np.ndarray  # (N, 3) m, rotating frame
@@ -49,11 +55,8 @@ class IonConfiguration:
             raise ValueError("positions must be an (N, 3) array")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
-        if pos.shape[0] > 1:
-            tree = cKDTree(pos)
-            d, _ = tree.query(pos, k=2)
-            if np.min(d[:, 1]) <= 0.0:
-                raise ValueError("coincident ions")
+        if pos.shape[0] > 1 and np.min(_nearest_neighbor_distances(pos)) <= 0.0:
+            raise ValueError("coincident ions")
         object.__setattr__(self, "positions", pos)
 
     @property
@@ -61,18 +64,17 @@ class IonConfiguration:
         return self.positions.shape[0]
 
 
+_MAX_ITERATIONS = 20000
+
+
 @dataclass(frozen=True)
 class RelaxationConfig:
-    max_iterations: int = 20000
     force_tolerance: float = 1e-21   # N, per component
     initial_seed: int = 0
-    annealing_restarts: int = 2
 
     def __post_init__(self):
         if not self.force_tolerance > 0.0:
             raise ValueError("force_tolerance must be positive")
-        if self.annealing_restarts < 0:
-            raise ValueError("annealing_restarts must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class ConvergenceReport:
     final_energy: float       # J
     max_force: float          # N, largest residual component
     iterations: int
-    restarts_used: int
+    restarts_used: int        # always 0 (relax runs one descent); perfbench reads it
 
     def as_dict(self) -> dict:
         return {
@@ -169,31 +171,14 @@ def _hex_patch(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _descend(u, kx, ky, tol, max_iter):
-    """L-BFGS on the scaled potential; returns (u, iterations_used).
-
-    gtol = tol/10 makes L-BFGS stop with the largest gradient component
-    well below tol; the caller checks the result against tol.
-    """
-    n = u.shape[0]
-
-    def fun(x):
-        value, grad = _scaled_energy_gradient(x.reshape(n, 3), kx, ky)
-        return value, grad.reshape(-1)
-
-    res = minimize(fun, u.reshape(-1), jac=True, method="L-BFGS-B",
-                   options={"maxiter": max_iter, "ftol": 1e-18,
-                            "gtol": tol / 10.0, "maxcor": 20})
-    return res.x.reshape(n, 3), int(res.nit)
-
-
 def relax(n_ions: int, species: IonSpecies, modes: ModeFrequencies,
           wall: RotatingWallConfig, cfg: RelaxationConfig = RelaxationConfig()):
     """Minimize the rotating-frame potential; deterministic for fixed seed.
 
-    Returns (IonConfiguration, ConvergenceReport); raises ConvergenceError
-    with the best-found configuration attached if the force floor is not
-    reached after all annealing restarts.
+    One L-BFGS descent from a seeded, jittered hexagonal patch sized to the
+    cold-fluid radius.  Returns (IonConfiguration, ConvergenceReport);
+    raises ConvergenceError with the descent's final configuration attached
+    if its largest force component does not fall below the tolerance.
     """
     if n_ions < 1:
         raise ValueError("need at least one ion")
@@ -204,7 +189,6 @@ def relax(n_ions: int, species: IonSpecies, modes: ModeFrequencies,
         raise ValueError("wall dominance requires beta > delta")
     a0, e_scale, f_scale = _scales(species, modes)
     tol = cfg.force_tolerance / f_scale
-    rng = np.random.default_rng(cfg.initial_seed)
 
     if n_ions == 1:
         config = IonConfiguration(np.zeros((1, 3)))
@@ -214,50 +198,34 @@ def relax(n_ions: int, species: IonSpecies, modes: ModeFrequencies,
     alpha_guess = aspect_ratio_from_beta(min(beta, 0.999))
     r_guess = spheroid_dimensions(n_ions, alpha_guess, beta, modes.omega_z,
                                   species).r_cl / a0
-    u = _hex_patch(n_ions, r_guess, rng)
+    u = _hex_patch(n_ions, r_guess, np.random.default_rng(cfg.initial_seed))
 
-    best_u = None
-    best_value = np.inf
-    iters_total = 0
-    restarts_used = 0
-    converged_any = False
-    for attempt in range(cfg.annealing_restarts + 1):
-        if attempt > 0:
-            restarts_used += 1
-            base = best_u if best_u is not None else u
-            nn = _nearest_neighbor_distances(base)
-            u = base + rng.normal(scale=0.05 * np.median(nn), size=base.shape)
-        u, iters = _descend(u, kx, ky, tol, cfg.max_iterations)
-        iters_total += iters
-        value, grad = _scaled_energy_gradient(u, kx, ky)
-        max_grad = float(np.max(np.abs(grad)))
-        ok = max_grad < tol
-        # converged beats non-converged; ties broken by energy
-        better = (ok, -value) > (converged_any, -best_value)
-        if best_u is None or better:
-            best_u, best_value, best_max_grad = u.copy(), value, max_grad
-            converged_any = converged_any or ok
+    def fun(x):
+        value, grad = _scaled_energy_gradient(x.reshape(n_ions, 3), kx, ky)
+        return value, grad.reshape(-1)
 
-    max_force = best_max_grad * f_scale
+    # gtol = tol/10 makes L-BFGS stop with the largest gradient component
+    # well below tol; convergence is decided against tol below.  res.fun and
+    # res.jac are the energy and gradient at res.x.
+    res = minimize(fun, u.reshape(-1), jac=True, method="L-BFGS-B",
+                   options={"maxiter": _MAX_ITERATIONS, "ftol": 1e-18,
+                            "gtol": tol / 10.0, "maxcor": 20})
+    max_grad = float(np.max(np.abs(res.jac)))
+    converged = max_grad < tol
+    max_force = max_grad * f_scale
     report = ConvergenceReport(
-        converged=converged_any,
-        final_energy=best_value * e_scale,
+        converged=converged,
+        final_energy=float(res.fun * e_scale),
         max_force=max_force,
-        iterations=iters_total,
-        restarts_used=restarts_used,
+        iterations=int(res.nit),
+        restarts_used=0,
     )
-    config = IonConfiguration(best_u * a0)
-    if not converged_any:
+    config = IonConfiguration(res.x.reshape(n_ions, 3) * a0)
+    if not converged:
         raise ConvergenceError(
             f"relaxation failed to reach {cfg.force_tolerance:.3g} N "
             f"(residual {max_force:.3g} N)", config, report)
     return config, report
-
-
-def _nearest_neighbor_distances(positions: np.ndarray) -> np.ndarray:
-    tree = cKDTree(positions)
-    d, _ = tree.query(positions, k=2)
-    return d[:, 1]
 
 
 @dataclass(frozen=True)

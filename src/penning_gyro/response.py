@@ -70,10 +70,7 @@ def cloud_average_amplitude(r_cl: float, omega_x: float,
     """
     if not r_cl > 0.0:
         raise ValueError("r_cl must be positive")
-    outer = z_amplitude(omega_x, r_cl, params)
-    return AmplitudeResult(z_single=outer.z_single,
-                           z_avg=0.5 * outer.z_single,
-                           drive_amplitude=r_cl, rotation=omega_x)
+    return z_amplitude(omega_x, r_cl, params)
 
 
 def rotation_scale_factor(r_cl: float, params: OscillatorParams) -> float:

@@ -311,7 +311,7 @@ def test_criterion_10_nbody_invariants():
 
     t0 = time.time()
     big, report = relax(1000, CA40, modes, wall,
-                        RelaxationConfig(initial_seed=0, annealing_restarts=0))
+                        RelaxationConfig(initial_seed=0))
     elapsed = time.time() - t0
     spacing = measured_shape(big).spacing_median
     big_ok = (report.converged and 10e-6 / 3.0 <= spacing <= 10e-6 * 3.0

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from penning_gyro.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from penning_gyro.config import RunConfig
+from penning_gyro.equilibrium import RelaxationConfig
 
 
 def run(argv, capsys):
@@ -146,6 +148,21 @@ def test_crystal_small(tmp_path, capsys):
     assert len(lines) == 13
     report = json.loads((tmp_path / "crystal_report.json").read_text())
     assert report["converged"] is True
+
+
+def test_crystal_non_convergence_writes_outputs(tmp_path, capsys, monkeypatch):
+    # a force floor no descent reaches takes the ConvergenceError branch
+    monkeypatch.setattr("penning_gyro.cli.RelaxationConfig",
+                        functools.partial(RelaxationConfig, force_tolerance=1e-30))
+    code, _, err = run(["--output-dir", str(tmp_path), "crystal", "--ions", "5"],
+                       capsys)
+    assert code == EXIT_NUMERICAL
+    assert "failed to reach" in err
+    lines = (tmp_path / "crystal.csv").read_text().splitlines()
+    assert lines[0] == "ion_index,x_m,y_m,z_m"
+    assert len(lines) == 6
+    report = json.loads((tmp_path / "crystal_report.json").read_text())
+    assert report["converged"] is False
 
 
 def test_output_dir_env_var(tmp_path, capsys, monkeypatch):

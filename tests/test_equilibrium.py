@@ -5,6 +5,7 @@ import pytest
 
 from penning_gyro.core import CA40, K_COULOMB
 from penning_gyro.equilibrium import (
+    ConvergenceError,
     IonConfiguration,
     RelaxationConfig,
     forces,
@@ -93,6 +94,21 @@ def test_relax_deterministic_for_fixed_seed(ca40, modes100, wall100):
     assert np.array_equal(c1.positions, c2.positions)
 
 
+def test_relax_reports_unreached_force_floor(ca40, modes100, wall100):
+    cfg = RelaxationConfig(force_tolerance=1e-30)
+    with pytest.raises(ConvergenceError) as info:
+        relax(5, ca40, modes100, wall100, cfg)
+    config, report = info.value.best_config, info.value.report
+    assert config.ion_count == 5
+    assert report.converged is False
+    assert report.max_force >= cfg.force_tolerance
+    assert report.restarts_used == 0
+    assert type(report.final_energy) is float
+    # the attached configuration is the one the report describes
+    energy = rotating_frame_potential(config, ca40, modes100, wall100)
+    assert energy == pytest.approx(report.final_energy, rel=1e-12)
+
+
 def test_relax_rejects_wall_dominated_regime(ca40, modes100):
     # omega_r just inside the window gives beta < delta
     wall = RotatingWallConfig(omega_r=modes100.omega_m * 1.0001, delta=0.01)
@@ -131,5 +147,3 @@ def test_configuration_csv_schema(tmp_path):
 def test_relaxation_config_validation():
     with pytest.raises(ValueError):
         RelaxationConfig(force_tolerance=0.0)
-    with pytest.raises(ValueError):
-        RelaxationConfig(annealing_restarts=-1)
