@@ -15,6 +15,7 @@ from .config import ConfigError, RunConfig, load_config
 from .core import CONST, validate_stability
 from .dynamics import IntegrationError
 from .equilibrium import (
+    CoincidentIonsError,
     ConvergenceError,
     RelaxationConfig,
     measured_shape,
@@ -227,8 +228,8 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         return _HANDLERS[args.command](args, config)
-    except (IntegrationError, ConvergenceError, ArithmeticError,
-            AspectRatioBracketError) as exc:
+    except (IntegrationError, ConvergenceError, CoincidentIonsError,
+            ArithmeticError, AspectRatioBracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, UnstableTrapError, ValueError) as exc:

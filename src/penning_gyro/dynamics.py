@@ -245,10 +245,6 @@ def extract_spectrum(traj: Trajectory, coordinate: str = "z",
     return peaks
 
 
-def frequency_resolution(traj: Trajectory) -> float:
-    return 1.0 / float(traj.times[-1] - traj.times[0])
-
-
 def energy(traj: Trajectory) -> np.ndarray:
     """Kinetic + electrostatic energy per sample, lab frame, J.
 

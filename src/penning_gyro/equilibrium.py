@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist, squareform
 
 from .core import IonSpecies
 from .modes import ModeFrequencies
@@ -30,6 +31,10 @@ from .shape import (
     shape_beta,
     spheroid_dimensions,
 )
+
+
+class CoincidentIonsError(ValueError):
+    """Two ions share a position, or a coordinate is NaN: a numerical failure."""
 
 
 class ConvergenceError(RuntimeError):
@@ -56,7 +61,7 @@ class IonConfiguration:
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
         if pos.shape[0] > 1 and np.min(_nearest_neighbor_distances(pos)) <= 0.0:
-            raise ValueError("coincident ions")
+            raise CoincidentIonsError("coincident ions")
         object.__setattr__(self, "positions", pos)
 
     @property
@@ -116,17 +121,14 @@ def _scaled_energy_gradient(u: np.ndarray, kx: float, ky: float):
     grad[:, 0] = kx * u[:, 0]
     grad[:, 1] = ky * u[:, 1]
     grad[:, 2] = u[:, 2]
-    if u.shape[0] > 1:
-        diff = u[:, None, :] - u[None, :, :]
-        dist = np.sqrt(np.sum(diff ** 2, axis=-1))
-        np.fill_diagonal(dist, np.inf)
-        if not np.all(dist > 0.0):
-            raise ValueError("coincident ions")
-        inv = 1.0 / dist
-        coulomb = 0.5 * np.sum(inv)
-        grad -= np.sum(diff * (inv ** 3)[:, :, None], axis=1)
-        return conf + coulomb, grad
-    return conf, grad
+    # Coulomb terms once per pair i < j; NaN distances fail the guard too
+    dist = pdist(u)
+    if not np.all(dist > 0.0):
+        raise CoincidentIonsError("coincident ions")
+    inv = 1.0 / dist
+    w = squareform(inv * inv * inv)  # W_ij = 1/d_ij^3, zero diagonal
+    grad -= u * w.sum(axis=1)[:, None] - w @ u
+    return conf + np.sum(inv), grad
 
 
 def rotating_frame_potential(config: IonConfiguration, species: IonSpecies,

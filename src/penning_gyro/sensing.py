@@ -23,7 +23,6 @@ class ODFParams:
     f0: float                 # N, per-ion spin-dependent force
     tau: float                # s, precession duration
     gamma: float              # 1/s, spontaneous decay rate
-    delta_mu: float = 0.0     # rad/s, beat detuning (modeled at 0 only)
     delta_phase: float = 0.0  # rad, drive-vs-force phase
 
     def __post_init__(self):

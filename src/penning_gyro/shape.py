@@ -48,7 +48,6 @@ class AspectRatioBracketError(ValueError):
 class RotatingWallConfig:
     omega_r: float          # rad/s, crystal rotation frequency
     delta: float            # relative wall strength
-    theta: float = 0.0      # drive phase, rad
 
     def __post_init__(self):
         if not (0.0 <= self.delta < 1.0):

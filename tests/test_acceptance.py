@@ -217,6 +217,29 @@ def test_shape_solver_matches_arctan_closed_form():
     assert worst <= 1e-9, f"max relative deviation {worst:.2e}"
 
 
+def test_nbody_crystal_matches_cold_fluid_shape():
+    # at the Brillouin point the relaxed N-body crystal, built from the trap
+    # potential and Coulomb's law alone, against the cold-fluid spheroid
+    modes = compute_modes(CA40, TRAP100)
+    omega_r = 0.5 * modes.omega_c
+    crystal, report = relax(300, CA40, modes,
+                            RotatingWallConfig(omega_r=omega_r, delta=0.0),
+                            RelaxationConfig(initial_seed=0))
+    pos = crystal.positions
+    rho2 = float(np.mean(pos[:, 0] ** 2 + pos[:, 1] ** 2))
+    radius = math.sqrt(2.5 * rho2)        # uniform spheroid: <x^2+y^2> = 2 r^2/5
+    alpha = math.sqrt(2.0 * float(np.mean(pos[:, 2] ** 2)) / rho2)
+    beta = shape_beta(modes, omega_r)
+    r_cl = spheroid_dimensions(300, aspect_ratio_from_beta(beta), beta,
+                               modes.omega_z, CA40).r_cl
+    beta_b = modes.omega_c ** 2 / (4.0 * modes.omega_z ** 2) - 0.5
+    alpha_b = _closed_form_alpha(beta_b)
+    assert report.converged
+    assert abs(radius / r_cl - 1.0) <= 0.01, f"radius / r_cl = {radius / r_cl:.4f}"
+    # a finite crystal is flatter than the cold-fluid limit
+    assert 0.75 * alpha_b < alpha < alpha_b, f"alpha = {alpha:.4f}, alpha_B = {alpha_b:.4f}"
+
+
 def test_criterion_07_spheroid_dimensions():
     modes = compute_modes(CA40, TRAP100)
     geom = spheroid_dimensions(1000, 0.16, 0.05, modes.omega_z, CA40)

@@ -7,7 +7,7 @@ import pytest
 
 from penning_gyro.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from penning_gyro.config import RunConfig
-from penning_gyro.equilibrium import RelaxationConfig
+from penning_gyro.equilibrium import CoincidentIonsError, RelaxationConfig
 
 
 def run(argv, capsys):
@@ -163,6 +163,16 @@ def test_crystal_non_convergence_writes_outputs(tmp_path, capsys, monkeypatch):
     assert len(lines) == 6
     report = json.loads((tmp_path / "crystal_report.json").read_text())
     assert report["converged"] is False
+
+
+def test_crystal_coincident_ions_is_numerical(tmp_path, capsys, monkeypatch):
+    def coincide(*args, **kwargs):
+        raise CoincidentIonsError("coincident ions")
+    monkeypatch.setattr("penning_gyro.cli.relax", coincide)
+    code, _, err = run(["--output-dir", str(tmp_path), "crystal", "--ions", "5"],
+                       capsys)
+    assert code == EXIT_NUMERICAL
+    assert "coincident ions" in err
 
 
 def test_output_dir_env_var(tmp_path, capsys, monkeypatch):

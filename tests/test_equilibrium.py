@@ -5,9 +5,11 @@ import pytest
 
 from penning_gyro.core import CA40, K_COULOMB
 from penning_gyro.equilibrium import (
+    CoincidentIonsError,
     ConvergenceError,
     IonConfiguration,
     RelaxationConfig,
+    _scaled_energy_gradient,
     forces,
     measured_shape,
     relax,
@@ -78,6 +80,60 @@ def test_forces_match_finite_differences(ca40, modes100, wall100):
                    - rotating_frame_potential(IonConfiguration(pm), ca40,
                                               modes100, wall100)) / (2 * h)
             assert abs(fd - f[i, j]) / scale < 1e-6
+
+
+def _spring_constants(ca40, modes, wall):
+    """Per-ion spring constants (k_x, k_y, k_z) of the rotating-frame trap, N/m."""
+    beta = shape_beta(modes, wall.omega_r)
+    return ca40.mass * modes.omega_z ** 2 * np.array(
+        [beta + wall.delta, beta - wall.delta, 1.0])
+
+
+def test_potential_and_forces_match_pair_loop(ca40, modes100, wall100):
+    rng = np.random.default_rng(11)
+    a0 = coulomb_trap_length(ca40, modes100.omega_z)
+    kq2 = K_COULOMB * ca40.charge ** 2
+    k = _spring_constants(ca40, modes100, wall100)
+    for _ in range(20):
+        n = int(rng.integers(2, 41))
+        pos = rng.normal(scale=3 * a0, size=(n, 3))
+        energy = float(np.sum(0.5 * k * pos ** 2))
+        force = -k * pos
+        for i in range(n):
+            for j in range(i + 1, n):
+                r = pos[i] - pos[j]
+                d = math.sqrt(float(r @ r))
+                energy += kq2 / d
+                force[i] += kq2 * r / d ** 3
+                force[j] -= kq2 * r / d ** 3
+        config = IonConfiguration(pos)
+        # energies are ~1e-23 J, below pytest.approx's default abs tolerance
+        u = rotating_frame_potential(config, ca40, modes100, wall100)
+        assert abs(u / energy - 1.0) <= 1e-12
+        f = forces(config, ca40, modes100, wall100)
+        assert np.max(np.abs(f - force)) <= 1e-12 * np.max(np.abs(force))
+
+
+def test_coulomb_forces_obey_newtons_third_law(ca40, modes100, wall100):
+    rng = np.random.default_rng(3)
+    a0 = coulomb_trap_length(ca40, modes100.omega_z)
+    pos = rng.normal(scale=10 * a0, size=(300, 3))
+    coulomb = (forces(IonConfiguration(pos), ca40, modes100, wall100)
+               + _spring_constants(ca40, modes100, wall100) * pos)
+    net = np.abs(np.sum(coulomb, axis=0))
+    assert np.all(net <= 1e-12 * np.max(np.abs(coulomb)))
+
+
+@pytest.mark.parametrize("bad_row", [[1.0, 2.0, 3.0], [np.nan, 0.0, 0.0]])
+def test_energy_gradient_rejects_coincident_or_nan_ions(bad_row):
+    u = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 1.0], bad_row])
+    with pytest.raises(CoincidentIonsError):
+        _scaled_energy_gradient(u, 0.05, 0.03)
+
+
+def test_configuration_coincident_ions_are_numerical():
+    with pytest.raises(CoincidentIonsError):
+        IonConfiguration(np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]))
 
 
 def test_forces_vanish_at_equilibrium(ca40, modes100, wall100):
