@@ -12,7 +12,7 @@ import os
 import sys
 
 from .config import ConfigError, RunConfig, load_config
-from .core import CONST, validate_stability
+from .core import CONST, validate_stability, write_csv
 from .dynamics import IntegrationError
 from .equilibrium import (
     CoincidentIonsError,
@@ -21,7 +21,6 @@ from .equilibrium import (
     measured_shape,
     relax,
     write_configuration_csv,
-    write_report_json,
 )
 from .figures import generate_figure
 from .modes import UnstableTrapError, compute_modes
@@ -125,10 +124,8 @@ def _cmd_modes(args, config: RunConfig) -> int:
         print(f"  stability margin     {report.margin:12.4g} rad/s")
     if getattr(args, "csv", False):
         path = os.path.join(_outdir(args), "modes.csv")
-        with open(path, "w") as fh:
-            fh.write("mode,frequency_hz\n")
-            for name, f in rows:
-                fh.write(f"{name.replace(' ', '_')},{f!r}\n")
+        write_csv(path, ["mode", "frequency_hz"],
+                  [(name.replace(" ", "_"), f) for name, f in rows])
         print(f"wrote {path}", file=sys.stderr)
     return EXIT_OK
 
@@ -183,6 +180,15 @@ def _cmd_budget(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _write_crystal(outdir: str, crystal, payload: dict) -> str:
+    """Write crystal.csv and crystal_report.json; return the report text."""
+    write_configuration_csv(crystal, os.path.join(outdir, "crystal.csv"))
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with open(os.path.join(outdir, "crystal_report.json"), "w") as fh:
+        fh.write(text)
+    return text
+
+
 def _cmd_crystal(args, config: RunConfig) -> int:
     species, trap = config.ion(), config.trap()
     modes = compute_modes(species, trap)
@@ -193,18 +199,13 @@ def _cmd_crystal(args, config: RunConfig) -> int:
     try:
         crystal, report = relax(n_ions, species, modes, wall, relax_cfg)
     except ConvergenceError as exc:
-        write_configuration_csv(exc.best_config, os.path.join(outdir, "crystal.csv"))
-        write_report_json(exc.report, os.path.join(outdir, "crystal_report.json"))
+        _write_crystal(outdir, exc.best_config, exc.report.as_dict())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     stats = measured_shape(crystal)
-    write_configuration_csv(crystal, os.path.join(outdir, "crystal.csv"))
-    write_report_json(report, os.path.join(outdir, "crystal_report.json"),
-                      extra=stats.as_dict())
+    text = _write_crystal(outdir, crystal, {**report.as_dict(), **stats.as_dict()})
     if args.json:
-        payload = report.as_dict()
-        payload.update(stats.as_dict())
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(text, end="")
     else:
         print(f"relaxed {n_ions} ions: spacing median "
               f"{stats.spacing_median * 1e6:.2f} um, alpha_md {stats.alpha_md:.3f}, "

@@ -1,12 +1,15 @@
-"""Ion species, static trap configuration, and shared physical constants.
+"""Ion species, static trap configuration, shared physical constants, and
+the one writer of output tables.
 
 Everything in here is immutable after construction and safe to share
 across concurrent sweep workers.
 """
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -131,15 +134,18 @@ class StabilityReport:
 def validate_stability(species: IonSpecies, trap: TrapConfig) -> StabilityReport:
     """Axial confinement must stay below the radial-defocusing bound.
 
-    Trapping is stable iff omega_z < omega_c/sqrt(2); the report carries
-    the signed margin instead of raising so sweeps can emit gap markers.
+    Trapping is stable iff omega_c^2 - 2 omega_z^2 > 0, the discriminant
+    of the radial modes; at zero the magnetron and modified cyclotron
+    roots meet and the motion is marginal.  ``compute_modes`` decides from
+    this report, so the two never disagree at the edge.  The report
+    carries the signed margin instead of raising so sweeps can emit gap
+    markers.
     """
     omega_c = cyclotron_frequency(species, trap)
     omega_z = axial_frequency(species, trap)
-    bound = omega_c / math.sqrt(2.0)
     return StabilityReport(
-        stable=omega_z < bound,
-        margin=bound - omega_z,
+        stable=omega_c ** 2 - 2.0 * omega_z ** 2 > 0.0,
+        margin=omega_c / math.sqrt(2.0) - omega_z,
         omega_z=omega_z,
         omega_c=omega_c,
     )
@@ -149,3 +155,16 @@ def max_stable_voltage(species: IonSpecies, b_field: float, z0: float) -> float:
     """Voltage at which omega_z = omega_c/sqrt(2) exactly (instability edge)."""
     omega_c = abs(species.charge) * b_field / species.mass
     return species.mass * z0 ** 2 * omega_c ** 2 / (2.0 * abs(species.charge))
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write one output table in the csv module's default format.
+
+    Every table goes through here.  A float cell is its shortest repr, so
+    it reads back bit for bit; None is the empty cell that marks a gap;
+    lines end in CRLF.  Pass arrays as ``.tolist()``: same text, faster.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

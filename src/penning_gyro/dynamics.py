@@ -13,14 +13,13 @@ radially and restores axially, and the magnetron rotation is the ExB drift
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp, trapezoid
 
-from .core import IonSpecies, RotationInput, TrapConfig, axial_frequency_squared, cyclotron_frequency
+from .core import IonSpecies, RotationInput, TrapConfig, axial_frequency_squared, write_csv
 from .modes import ModeFrequencies, compute_modes
 
 
@@ -289,19 +288,10 @@ def driven_amplitude(traj: Trajectory, drive_omega: float,
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "z", "vx", "vy", "vz"])
-        for i in range(traj.times.size):
-            writer.writerow([repr(float(traj.times[i]))]
-                            + [repr(float(v)) for v in traj.positions[i]]
-                            + [repr(float(v)) for v in traj.velocities[i]])
+    write_csv(path, ["t", "x", "y", "z", "vx", "vy", "vz"],
+              np.column_stack([traj.times, traj.positions, traj.velocities]).tolist())
 
 
 def write_spectrum_csv(traj: Trajectory, coordinate: str, path) -> None:
-    freqs, power = periodogram(traj, coordinate)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["freq_hz", "power"])
-        for f, p in zip(freqs, power):
-            writer.writerow([repr(float(f)), repr(float(p))])
+    write_csv(path, ["freq_hz", "power"],
+              np.column_stack(periodogram(traj, coordinate)).tolist())

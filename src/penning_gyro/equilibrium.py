@@ -12,8 +12,6 @@ the minimizer well conditioned at any ion count.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,7 +20,7 @@ from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist, squareform
 
-from .core import IonSpecies
+from .core import IonSpecies, write_csv
 from .modes import ModeFrequencies
 from .shape import (
     RotatingWallConfig,
@@ -268,17 +266,5 @@ def measured_shape(config: IonConfiguration) -> ShapeStats:
 
 
 def write_configuration_csv(config: IonConfiguration, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ion_index", "x_m", "y_m", "z_m"])
-        for i, row in enumerate(config.positions):
-            writer.writerow([i] + [repr(float(v)) for v in row])
-
-
-def write_report_json(report: ConvergenceReport, path, extra: dict | None = None) -> None:
-    payload = report.as_dict()
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_csv(path, ["ion_index", "x_m", "y_m", "z_m"],
+              [[i, *row] for i, row in enumerate(config.positions.tolist())])

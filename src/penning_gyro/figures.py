@@ -8,14 +8,13 @@ README plotting recipes.
 """
 from __future__ import annotations
 
-import csv
 import math
 import os
 
 import numpy as np
 
 from .config import RunConfig
-from .core import RotationInput, TrapConfig
+from .core import RotationInput, TrapConfig, write_csv
 from .dynamics import (
     IntegratorConfig,
     default_time_step,
@@ -65,11 +64,8 @@ def fig2_axial_response(config: RunConfig, outdir: str) -> list[str]:
     power spectrum."""
     traj, _ = _single_particle_run(config, total_time=2e-3, stride=8)
     path = os.path.join(outdir, "fig2_axial.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "z"])
-        for t, z in zip(traj.times, traj.positions[:, 2]):
-            writer.writerow([repr(float(t)), repr(float(z))])
+    write_csv(path, ["t", "z"],
+              np.column_stack([traj.times, traj.positions[:, 2]]).tolist())
     spec_path = os.path.join(outdir, "fig2_spectrum.csv")
     write_spectrum_csv(traj, "z", spec_path)
     return [path, spec_path]
@@ -102,45 +98,36 @@ def fig4_shape_collapse(config: RunConfig, outdir: str) -> list[str]:
     all_modes = [compute_modes(species, TrapConfig(config.b_field_t, v,
                                                    config.char_length_m))
                  for v in SHAPE_VOLTAGES]
+    rows = []
+    for beta in beta_grid:
+        alphas = [aspect_ratio_from_beta(shape_beta(m, _omega_r_from_beta(m, beta)))
+                  for m in all_modes]
+        spread = max(abs(a - b) / a for a in alphas for b in alphas)
+        rows.append([1.0 / (2.0 * beta + 1.0), beta, *alphas, spread])
     path = os.path.join(outdir, "fig4_shape_collapse.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["normalized_freq", "beta"]
-                        + [f"alpha_v{int(v)}" for v in SHAPE_VOLTAGES]
-                        + ["max_pairwise_rel_dev"])
-        for beta in beta_grid:
-            alphas = []
-            for modes in all_modes:
-                omega_r = _omega_r_from_beta(modes, beta)
-                alphas.append(aspect_ratio_from_beta(shape_beta(modes, omega_r)))
-            spread = max(abs(a - b) / a for a in alphas for b in alphas)
-            writer.writerow([repr(float(1.0 / (2.0 * beta + 1.0))),
-                             repr(float(beta))]
-                            + [repr(a) for a in alphas] + [repr(spread)])
+    write_csv(path, ["normalized_freq", "beta"]
+              + [f"alpha_v{int(v)}" for v in SHAPE_VOLTAGES]
+              + ["max_pairwise_rel_dev"], rows)
     return [path]
+
+
+def _wall_grid(modes):
+    """80 wall frequencies just inside the (omega_m, Omega_m) window."""
+    return np.linspace(modes.omega_m * 1.001, modes.omega_cap_m * 0.999, 80)
 
 
 def fig5_shape_vs_wall(config: RunConfig, outdir: str) -> list[str]:
     """Aspect ratio vs omega_r/omega_z for three voltages (long format)."""
     species = config.ion()
+    rows = []
+    for v in SHAPE_VOLTAGES:
+        modes = compute_modes(species, TrapConfig(config.b_field_t, v,
+                                                  config.char_length_m))
+        rows += [(v, r.omega_r, r.omega_r_over_omega_z, r.beta, r.alpha)
+                 for r in shape_sweep(species, modes, _wall_grid(modes))]
     path = os.path.join(outdir, "fig5_shape_vs_wall.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["v_volts", "omega_r_rad_s", "omega_r_over_omega_z",
-                         "beta", "alpha"])
-        for v in SHAPE_VOLTAGES:
-            modes = compute_modes(species, TrapConfig(config.b_field_t, v,
-                                                      config.char_length_m))
-            lo = modes.omega_m * 1.001
-            hi = modes.omega_cap_m * 0.999
-            for omega_r in np.linspace(lo, hi, 80):
-                beta = shape_beta(modes, omega_r)
-                alpha = (aspect_ratio_from_beta(beta)
-                         if 0.0 < beta < 1.0 else None)
-                writer.writerow([repr(float(v)), repr(float(omega_r)),
-                                 repr(float(omega_r / modes.omega_z)),
-                                 repr(float(beta)),
-                                 "" if alpha is None else repr(alpha)])
+    write_csv(path, ["v_volts", "omega_r_rad_s", "omega_r_over_omega_z",
+                     "beta", "alpha"], rows)
     return [path]
 
 
@@ -149,9 +136,7 @@ def fig6_cloud_dimensions(config: RunConfig, outdir: str) -> list[str]:
     species = config.ion()
     modes = compute_modes(species, TrapConfig(config.b_field_t, 100.0,
                                               config.char_length_m))
-    lo = modes.omega_m * 1.001
-    hi = modes.omega_cap_m * 0.999
-    rows = shape_sweep(species, modes, np.linspace(lo, hi, 80),
+    rows = shape_sweep(species, modes, _wall_grid(modes),
                        n_ions=config.n_crystal)
     path = os.path.join(outdir, "fig6_cloud_dimensions.csv")
     write_shape_csv(rows, path)

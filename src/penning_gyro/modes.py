@@ -7,25 +7,23 @@ that lands the Ca+/1T/10V magnetron mode at ~8 kHz.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 from .core import (
     IonSpecies,
     TrapConfig,
-    axial_frequency,
-    cyclotron_frequency,
     validate_stability,
+    write_csv,
 )
 
 TWO_PI = 2.0 * math.pi
 
 
 class UnstableTrapError(ValueError):
-    """Raised when omega_z >= omega_c/sqrt(2) (negative discriminant)."""
+    """Raised when omega_z >= omega_c/sqrt(2) (discriminant not positive)."""
 
 
 @dataclass(frozen=True)
@@ -58,15 +56,14 @@ def compute_modes(species: IonSpecies, trap: TrapConfig) -> ModeFrequencies:
     Exact identities (used as invariants downstream):
     omega_m + omega_cap_m = omega_c and omega_m * omega_cap_m = omega_z^2/2.
     """
-    omega_c = cyclotron_frequency(species, trap)
-    omega_z = axial_frequency(species, trap)
-    disc = omega_c ** 2 - 2.0 * omega_z ** 2
-    if disc < 0.0:
+    report = validate_stability(species, trap)
+    omega_c, omega_z = report.omega_c, report.omega_z
+    if not report.stable:
         raise UnstableTrapError(
-            f"unstable trap: omega_z={omega_z:.6g} rad/s exceeds "
+            f"unstable trap: omega_z={omega_z:.6g} rad/s is not below "
             f"omega_c/sqrt(2)={omega_c / math.sqrt(2):.6g} rad/s"
         )
-    root = math.sqrt(disc)
+    root = math.sqrt(omega_c ** 2 - 2.0 * omega_z ** 2)
     # omega_m written as omega_z^2/(omega_c + root) instead of the textbook
     # (omega_c - root)/2: same number, but free of the catastrophic
     # cancellation that otherwise spoils the product identity at low V
@@ -117,9 +114,4 @@ def freq_difference_sweep(
 
 
 def write_sweep_csv(points: Sequence[SweepPoint], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["b_tesla", "v_volts", "fz_minus_fm_hz"])
-        for p in points:
-            writer.writerow(["" if v is None else repr(float(v))
-                             for v in (p.b_field, p.voltage, p.fz_minus_fm)])
+    write_csv(path, ["b_tesla", "v_volts", "fz_minus_fm_hz"], map(astuple, points))

@@ -20,14 +20,13 @@ of the relaxed N-body crystal in ``equilibrium``.
 """
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 from scipy.optimize import brentq
 
-from .core import CONST, IonSpecies
+from .core import CONST, IonSpecies, write_csv
 from .modes import ModeFrequencies
 
 
@@ -225,12 +224,5 @@ def shape_sweep(species: IonSpecies, modes: ModeFrequencies,
 
 
 def write_shape_csv(rows: Sequence[ShapeSweepRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega_r_rad_s", "omega_r_over_omega_z",
-                         "normalized_freq", "beta", "alpha", "r_cl_m", "z_cl_m"])
-        for r in rows:
-            writer.writerow(["" if v is None else repr(float(v))
-                             for v in (r.omega_r, r.omega_r_over_omega_z,
-                                       r.normalized_freq, r.beta, r.alpha,
-                                       r.r_cl, r.z_cl)])
+    write_csv(path, ["omega_r_rad_s", "omega_r_over_omega_z", "normalized_freq",
+                     "beta", "alpha", "r_cl_m", "z_cl_m"], map(astuple, rows))

@@ -66,6 +66,19 @@ def test_shape_bracket_failure_is_numerical(tmp_path, capsys):
     assert "no sign change" in err
 
 
+def test_modes_csv(tmp_path, capsys):
+    code, _, _ = run(["--output-dir", str(tmp_path), "modes", "--csv"], capsys)
+    assert code == EXIT_OK
+    with open(tmp_path / "modes.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    modes = RunConfig().modes()
+    assert rows[0] == ["mode", "frequency_hz"]
+    assert [(name, float(f)) for name, f in rows[1:]] == [
+        ("magnetron", modes.f_m), ("axial", modes.f_z),
+        ("modified_cyclotron", modes.f_cap_m), ("true_cyclotron", modes.f_c)]
+    assert (tmp_path / "modes.csv").read_bytes().count(b"\r\n") == 5
+
+
 def test_malformed_set_flag(capsys):
     code, _, err = run(["--set", "novalue", "modes"], capsys)
     assert code == EXIT_CONFIG

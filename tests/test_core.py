@@ -26,7 +26,7 @@ def test_constants_pinned_values():
 
 
 def test_ca40_species():
-    assert CA40.mass == pytest.approx(39.9626 * CONST.atomic_mass_unit)
+    assert CA40.mass == pytest.approx(39.9626 * CONST.atomic_mass_unit, abs=0)
     assert CA40.charge == CONST.elementary_charge
 
 
@@ -63,7 +63,7 @@ def test_spring_constant_mechanical_definition():
     trap = TrapConfig(1.0, 100.0, 0.01)
     k = axial_spring_constant(CA40, trap)
     assert k == pytest.approx(CA40.mass * axial_frequency(CA40, trap) ** 2,
-                              rel=1e-12)
+                              rel=1e-12, abs=0)
     # electrical-curvature reading V/z0^2 differs by a factor q/m
     assert k != pytest.approx(trap.trap_voltage / trap.char_length_z0 ** 2)
 

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -191,7 +192,7 @@ def test_driven_amplitude_on_synthetic_tone():
     traj = Trajectory(times=t, positions=np.column_stack([0 * t, 0 * t, z]),
                       velocities=np.zeros((t.size, 3)))
     amp = driven_amplitude(traj, omega)
-    assert amp == pytest.approx(3.7e-9, rel=0.01)
+    assert amp == pytest.approx(3.7e-9, rel=0.01, abs=0)
 
 
 def test_acceleration_components(ca40, trap10):
@@ -227,3 +228,18 @@ def test_trajectory_csv_schema(ca40, trap10, modes10, tmp_path):
     write_trajectory_csv(traj, path)
     header = path.read_text().splitlines()[0]
     assert header == "t,x,y,z,vx,vy,vz"
+
+
+def test_trajectory_csv_round_trips_bit_for_bit(tmp_path):
+    values = [5e-324, -0.0, 0.1, 1.0 / 3.0, 1e16, 1.7976931348623157e308]
+    table = np.array([np.roll(values, k) for k in range(7)]).T
+    traj = Trajectory(times=table[:, 0], positions=table[:, 1:4],
+                      velocities=table[:, 4:])
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path)
+    assert path.read_bytes().count(b"\r\n") == len(values) + 1
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    back = np.array([[float(cell) for cell in row] for row in rows])
+    # int64 views compare every bit, the sign of -0.0 included
+    assert np.array_equal(back.view(np.int64), table.view(np.int64))

@@ -60,7 +60,7 @@ def test_two_ion_potential_closed_form(ca40, modes100, wall100):
     u = rotating_frame_potential(config, ca40, modes100, wall100)
     k_y = (beta - wall100.delta) * ca40.mass * modes100.omega_z ** 2
     expected = 2.0 * 0.5 * k_y * (d / 2) ** 2 + K_COULOMB * ca40.charge ** 2 / d
-    assert u == pytest.approx(expected, rel=1e-12)
+    assert u == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_forces_match_finite_differences(ca40, modes100, wall100):
@@ -162,7 +162,7 @@ def test_relax_reports_unreached_force_floor(ca40, modes100, wall100):
     assert type(report.final_energy) is float
     # the attached configuration is the one the report describes
     energy = rotating_frame_potential(config, ca40, modes100, wall100)
-    assert energy == pytest.approx(report.final_energy, rel=1e-12)
+    assert energy == pytest.approx(report.final_energy, rel=1e-12, abs=0)
 
 
 def test_relax_rejects_wall_dominated_regime(ca40, modes100):

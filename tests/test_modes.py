@@ -1,9 +1,11 @@
+import csv
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from penning_gyro.core import CA40, TrapConfig, max_stable_voltage
+from penning_gyro.core import CA40, TrapConfig, max_stable_voltage, validate_stability
 from penning_gyro.modes import (
     UnstableTrapError,
     compute_modes,
@@ -26,6 +28,23 @@ def test_mode_ordering(modes100):
 def test_unstable_raises():
     with pytest.raises(UnstableTrapError):
         compute_modes(CA40, TrapConfig(1.0, 125.0, 0.01))
+
+
+def test_stability_report_and_modes_agree_at_the_edge():
+    # at the edge voltage and its two floating-point neighbours round-off
+    # decides the sign of omega_c^2 - 2 omega_z^2; a trap must never be
+    # reported unstable while compute_modes returns its modes, or the reverse
+    for b in np.linspace(0.5, 3.0, 200).tolist():
+        v_edge = max_stable_voltage(CA40, b, 0.01)
+        for v in (math.nextafter(v_edge, 0.0), v_edge,
+                  math.nextafter(v_edge, math.inf)):
+            trap = TrapConfig(b, v, 0.01)
+            try:
+                compute_modes(CA40, trap)
+                has_modes = True
+            except UnstableTrapError:
+                has_modes = False
+            assert validate_stability(CA40, trap).stable == has_modes, (b, v)
 
 
 @given(st.floats(min_value=0.5, max_value=5.0),
@@ -69,6 +88,10 @@ def test_sweep_csv_schema(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "b_tesla,v_volts,fz_minus_fm_hz"
     assert lines[2].endswith(",")  # gap row has an empty value
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows[1] == ["1.0", "130.0", ""]
+    assert float(rows[0][2]) == points[0].fz_minus_fm
 
 
 def test_hz_properties_are_angular_over_2pi(modes100):

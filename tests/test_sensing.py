@@ -70,17 +70,17 @@ def test_projection_noise_angle():
 def test_single_shot_resolution_anchor():
     # hbar e / (F0 tau sqrt(2N)): the "e" is Euler's number via Gamma tau = 1
     dz = single_shot_amplitude_resolution(ENS, ODF)
-    assert dz == pytest.approx(2.0e-12, rel=0.05)
+    assert dz == pytest.approx(2.0e-12, rel=0.05, abs=0)
     by_hand = (CONST.reduced_planck * math.e
                / (1e-22 * 0.01 * math.sqrt(2.0 * 10000)))
-    assert dz == pytest.approx(by_hand, rel=1e-12)
+    assert dz == pytest.approx(by_hand, rel=1e-12, abs=0)
 
 
 def test_averaged_sensitivity_sqrt_cycle():
     dz = single_shot_amplitude_resolution(ENS, ODF)
     asd = averaged_sensitivity(dz, 0.05)
-    assert asd == pytest.approx(dz * math.sqrt(0.05), rel=1e-12)
-    assert asd == pytest.approx(0.45e-12, rel=0.05)
+    assert asd == pytest.approx(dz * math.sqrt(0.05), rel=1e-12, abs=0)
+    assert asd == pytest.approx(0.45e-12, rel=0.05, abs=0)
     with pytest.raises(ValueError):
         averaged_sensitivity(dz, 0.0)
 
@@ -93,7 +93,7 @@ def test_budget_chain_consistency():
     scale = 1.416e-4  # m per rad/s
     budget = build_budget(ENS, ODF, scale, 0.05)
     assert budget.rotation_asd == pytest.approx(
-        budget.amplitude_asd / scale, rel=1e-12)
+        budget.amplitude_asd / scale, rel=1e-12, abs=0)
     assert budget.arw == budget.rotation_asd * 60.0
     assert budget.repetitions_per_s == pytest.approx(20.0)
     with pytest.raises(ValueError):
