@@ -1,4 +1,8 @@
-"""Design-chain simulator for a trapped-ion vibration gyroscope."""
+"""Design-chain simulator for a trapped-ion vibration gyroscope.
+
+scipy is imported inside the functions that call it, so the paths that
+never need it (trap modes, figures 1-3) start without loading it.
+"""
 
 from .core import (
     CA40,

@@ -138,14 +138,17 @@ def validate_stability(species: IonSpecies, trap: TrapConfig) -> StabilityReport
     of the radial modes; at zero the magnetron and modified cyclotron
     roots meet and the motion is marginal.  ``compute_modes`` decides from
     this report, so the two never disagree at the edge.  The report
-    carries the signed margin instead of raising so sweeps can emit gap
-    markers.
+    carries the signed margin instead of raising; its sign is the
+    decision's.
     """
     omega_c = cyclotron_frequency(species, trap)
     omega_z = axial_frequency(species, trap)
+    disc = omega_c ** 2 - 2.0 * omega_z ** 2
     return StabilityReport(
-        stable=omega_c ** 2 - 2.0 * omega_z ** 2 > 0.0,
-        margin=omega_c / math.sqrt(2.0) - omega_z,
+        stable=disc > 0.0,
+        # omega_c/sqrt(2) - omega_z written through disc: the plain
+        # difference can round to the other sign at the edge
+        margin=0.5 * disc / (omega_c / math.sqrt(2.0) + omega_z),
         omega_z=omega_z,
         omega_c=omega_c,
     )

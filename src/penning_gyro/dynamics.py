@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp, trapezoid
 
 from .core import IonSpecies, RotationInput, TrapConfig, axial_frequency_squared, write_csv
 from .modes import ModeFrequencies, compute_modes
@@ -182,6 +181,8 @@ def integrate(state0: ParticleState, species: IonSpecies, trap: TrapConfig,
         samples = _rk4_samples(gen, y0, cfg.time_step, times.size,
                                cfg.sample_stride)
     else:
+        from scipy.integrate import solve_ivp
+
         sol = solve_ivp(lambda _t, u: gen @ u, (0.0, float(times[-1])), y0,
                         method="RK45", t_eval=times, rtol=cfg.rel_tol,
                         atol=cfg.abs_tol)
@@ -269,6 +270,9 @@ def driven_amplitude(traj: Trajectory, drive_omega: float,
     window is truncated to an integer number of drive periods, which keeps
     leakage from the free oscillation at the per-mille level.
     """
+    # scipy's trapezoid, not np.trapezoid: the latter needs numpy >= 2
+    from scipy.integrate import trapezoid
+
     if not traj.uniform:
         raise ValueError("non-uniform sampling; rerun with the fixed-step rk4 method")
     t = traj.times

@@ -16,9 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist, squareform
 
 from .core import IonSpecies, write_csv
 from .modes import ModeFrequencies
@@ -43,6 +40,8 @@ class ConvergenceError(RuntimeError):
 
 
 def _nearest_neighbor_distances(positions: np.ndarray) -> np.ndarray:
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(positions)
     d, _ = tree.query(positions, k=2)
     return d[:, 1]
@@ -113,6 +112,8 @@ def _curvatures(modes: ModeFrequencies, wall: RotatingWallConfig):
 
 def _scaled_energy_gradient(u: np.ndarray, kx: float, ky: float):
     """Energy and gradient in trap units; u is (N, 3)."""
+    from scipy.spatial.distance import pdist, squareform
+
     conf = 0.5 * (kx * np.sum(u[:, 0] ** 2) + ky * np.sum(u[:, 1] ** 2)
                   + np.sum(u[:, 2] ** 2))
     grad = np.empty_like(u)
@@ -180,6 +181,8 @@ def relax(n_ions: int, species: IonSpecies, modes: ModeFrequencies,
     raises ConvergenceError with the descent's final configuration attached
     if its largest force component does not fall below the tolerance.
     """
+    from scipy.optimize import minimize
+
     if n_ions < 1:
         raise ValueError("need at least one ion")
     kx, ky, beta = _curvatures(modes, wall)

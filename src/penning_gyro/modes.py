@@ -102,12 +102,13 @@ def freq_difference_sweep(
     for b in sorted(b_list):
         for v in sorted(v_grid):
             trap = TrapConfig(b_field=b, trap_voltage=v, char_length_z0=z0)
-            if validate_stability(species, trap).stable:
+            try:
                 m = compute_modes(species, trap)
+            except UnstableTrapError:
+                points.append(SweepPoint(b, v, None))
+            else:
                 points.append(SweepPoint(b, v, m.f_z - m.f_m))
                 any_stable = True
-            else:
-                points.append(SweepPoint(b, v, None))
     if not any_stable:
         warnings.warn("all sweep points unstable; table contains only gaps")
     return points

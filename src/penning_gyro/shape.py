@@ -24,8 +24,6 @@ import math
 from dataclasses import astuple, dataclass
 from typing import Sequence
 
-from scipy.optimize import brentq
-
 from .core import CONST, IonSpecies, write_csv
 from .modes import ModeFrequencies
 
@@ -114,6 +112,8 @@ def aspect_ratio_root(beta: float) -> AspectRatioRoot:
     Walks the grid to the first cell where the residual changes sign (or
     is exactly zero) and refines that cell with brentq.
     """
+    from scipy.optimize import brentq
+
     if not (0.0 < beta < 1.0):
         raise ValueError("oblate branch requires 0 < beta < 1")
     values = []

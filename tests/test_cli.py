@@ -2,9 +2,15 @@ import csv
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import penning_gyro
 from penning_gyro.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from penning_gyro.config import RunConfig
 from penning_gyro.equilibrium import CoincidentIonsError, RelaxationConfig
@@ -201,3 +207,36 @@ def test_config_file_round_trip(tmp_path, capsys):
     code, out, _ = run(["--config", str(cfg), "--json", "modes"], capsys)
     assert code == EXIT_OK
     assert json.loads(out)["f_z_hz"] == pytest.approx(78.2e3, rel=1e-3)
+
+
+def test_scipy_loads_only_on_demand(tmp_path):
+    # a fresh interpreter: this test process has long since loaded scipy
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import penning_gyro
+        from penning_gyro.cli import main
+        from penning_gyro.config import RunConfig
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        RunConfig().modes()
+        codes = {}
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["constants"], ["modes"], ["fig", "1"], ["fig", "2"],
+                         ["fig", "3"]):
+                codes[" ".join(argv)] = main(["--output-dir", sys.argv[1], *argv])
+            before = loaded()
+            codes["budget"] = main(["--output-dir", sys.argv[1], "budget"])
+        print(json.dumps({"codes": codes, "before": before, "after": loaded()}))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(penning_gyro.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["codes"] == {"constants": EXIT_OK, "modes": EXIT_OK,
+                               "fig 1": EXIT_OK, "fig 2": EXIT_OK,
+                               "fig 3": EXIT_OK, "budget": EXIT_OK}
+    assert result["before"] == []
+    assert "scipy.optimize" in result["after"]
+    assert (tmp_path / "budget.json").is_file()

@@ -33,7 +33,8 @@ def test_unstable_raises():
 def test_stability_report_and_modes_agree_at_the_edge():
     # at the edge voltage and its two floating-point neighbours round-off
     # decides the sign of omega_c^2 - 2 omega_z^2; a trap must never be
-    # reported unstable while compute_modes returns its modes, or the reverse
+    # reported unstable while compute_modes returns its modes, or the
+    # reverse, and the reported margin is positive exactly when stable
     for b in np.linspace(0.5, 3.0, 200).tolist():
         v_edge = max_stable_voltage(CA40, b, 0.01)
         for v in (math.nextafter(v_edge, 0.0), v_edge,
@@ -44,7 +45,9 @@ def test_stability_report_and_modes_agree_at_the_edge():
                 has_modes = True
             except UnstableTrapError:
                 has_modes = False
-            assert validate_stability(CA40, trap).stable == has_modes, (b, v)
+            report = validate_stability(CA40, trap)
+            assert report.stable == has_modes, (b, v)
+            assert report.stable == (report.margin > 0.0), (b, v, report.margin)
 
 
 @given(st.floats(min_value=0.5, max_value=5.0),
