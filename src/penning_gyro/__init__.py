@@ -12,7 +12,6 @@ from .core import (
     RotationInput,
     StabilityReport,
     TrapConfig,
-    axial_spring_constant,
     validate_stability,
 )
 from .modes import ModeFrequencies, UnstableTrapError, compute_modes, freq_difference_sweep
@@ -43,13 +42,7 @@ from .equilibrium import (
     relax,
     rotating_frame_potential,
 )
-from .response import (
-    AmplitudeResult,
-    OscillatorParams,
-    cloud_average_amplitude,
-    transfer_gain,
-    z_amplitude,
-)
+from .response import OscillatorParams, transfer_gain, z_amplitude
 from .sensing import (
     EnsembleSpec,
     ODFParams,

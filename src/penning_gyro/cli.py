@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 Every subcommand honors --config/--set, --output-dir (or the
-PENNING_GYRO_OUTPUT_DIR environment variable), --json, and --seed.
+PENNING_GYRO_OUTPUT_DIR environment variable) and --json.  --seed seeds
+the initial patch of ``crystal``, the one subcommand that draws random
+numbers; the others ignore it.
 """
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .config import ConfigError, RunConfig, load_config
 from .core import CONST, validate_stability, write_csv
@@ -54,7 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output on stdout")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
+                        help="seed of the crystal's initial patch "
+                             "(crystal only; overrides the config seed)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("constants", help="print the pinned physical constants")
@@ -92,7 +96,7 @@ def _outdir(args) -> str:
 
 
 def _cmd_constants(args, config: RunConfig) -> int:
-    values = CONST.as_dict()
+    values = asdict(CONST)
     if args.json:
         print(json.dumps(values, indent=2, sort_keys=True))
     else:

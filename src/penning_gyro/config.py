@@ -59,12 +59,10 @@ class RunConfig:
     def modes(self) -> ModeFrequencies:
         return compute_modes(self.ion(), self.trap())
 
-    def wall(self, modes: ModeFrequencies | None = None) -> RotatingWallConfig:
+    def wall(self, modes: ModeFrequencies) -> RotatingWallConfig:
         if self.wall_freq_rad_s > 0.0:
             omega_r = self.wall_freq_rad_s
         else:
-            if modes is None:
-                modes = self.modes()
             omega_r = self.wall_ratio * modes.omega_z
         try:
             return RotatingWallConfig(omega_r=omega_r, delta=self.wall_delta)

@@ -23,20 +23,6 @@ class PhysicalConstants:
     reduced_planck: float = 1.054571817e-34        # J s (exact)
     euler_number: float = math.e
 
-    def __post_init__(self):
-        for name, value in self.as_dict().items():
-            if not value > 0.0:
-                raise ValueError(f"constant {name} must be positive")
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "elementary_charge": self.elementary_charge,
-            "atomic_mass_unit": self.atomic_mass_unit,
-            "vacuum_permittivity": self.vacuum_permittivity,
-            "reduced_planck": self.reduced_planck,
-            "euler_number": self.euler_number,
-        }
-
 
 CONST = PhysicalConstants()
 
@@ -53,8 +39,8 @@ class IonSpecies:
     def __post_init__(self):
         if not self.mass > 0.0:
             raise ValueError("ion mass must be positive")
-        if self.charge == 0.0:
-            raise ValueError("ion charge must be nonzero")
+        if not (math.isfinite(self.charge) and self.charge != 0.0):
+            raise ValueError("ion charge must be finite and nonzero")
 
 
 # Bare atomic mass of 40Ca; no electron-mass correction is applied
@@ -109,18 +95,6 @@ def axial_frequency_squared(species: IonSpecies, trap: TrapConfig) -> float:
 
 def axial_frequency(species: IonSpecies, trap: TrapConfig) -> float:
     return math.sqrt(axial_frequency_squared(species, trap))
-
-
-def axial_spring_constant(species: IonSpecies, trap: TrapConfig) -> float:
-    """Mechanical axial spring constant k_z = m * omega_z^2 = qV/z0^2, N/m.
-
-    This is the mechanical definition, so omega_z = sqrt(k_z/m) holds
-    exactly.  The alternative electrical-curvature reading
-    (omega_z = sqrt(q k_z / m), i.e. k_z = V/z0^2) is intentionally not
-    used anywhere; the mechanical one keeps the driven-oscillator
-    transfer function dimensionally consistent.
-    """
-    return abs(species.charge) * trap.trap_voltage / trap.char_length_z0 ** 2
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ class IntegratorConfig:
     def __post_init__(self):
         if not self.time_step > 0.0:
             raise ValueError("time_step must be positive")
-        if self.total_time < self.time_step:
+        if not self.total_time >= self.time_step:
             raise ValueError("total_time must be >= time_step")
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
@@ -75,7 +75,6 @@ class Trajectory:
     species: IonSpecies = field(repr=False, default=None)
     trap: TrapConfig = field(repr=False, default=None)
     rotation: RotationInput = field(repr=False, default=None)
-    config: IntegratorConfig = field(repr=False, default=None)
 
     @property
     def uniform(self) -> bool:
@@ -196,14 +195,13 @@ def integrate(state0: ParticleState, species: IonSpecies, trap: TrapConfig,
         raise IntegrationError(f"non-finite state at t={times[bad]:.6g} s")
     return Trajectory(times=times, positions=samples[:, :3],
                       velocities=samples[:, 3:], species=species, trap=trap,
-                      rotation=rot, config=cfg)
+                      rotation=rot)
 
 
-def default_time_step(species: IonSpecies, trap: TrapConfig,
-                      points_per_fast_period: int = 200) -> float:
+def default_time_step(species: IonSpecies, trap: TrapConfig) -> float:
     """dt = T_fastest / 200 with T_fastest the modified-cyclotron period."""
     modes = compute_modes(species, trap)
-    return (2.0 * math.pi / modes.omega_cap_m) / points_per_fast_period
+    return (2.0 * math.pi / modes.omega_cap_m) / 200
 
 
 def periodogram(traj: Trajectory, coordinate: str = "z"):
@@ -226,15 +224,14 @@ class SpectralPeak:
     power: float
 
 
-def extract_spectrum(traj: Trajectory, coordinate: str = "z",
-                     floor_factor: float = 100.0) -> list[SpectralPeak]:
+def extract_spectrum(traj: Trajectory, coordinate: str = "z") -> list[SpectralPeak]:
     """Dominant spectral peaks of one coordinate, sorted by power.
 
-    A bin is a peak if it is a local maximum above floor_factor times the
-    median spectral power.  Frequency resolution is 1/total_time.
+    A bin is a peak if it is a local maximum above 100 times the median
+    spectral power.  Frequency resolution is 1/total_time.
     """
     freqs, power = periodogram(traj, coordinate)
-    floor = floor_factor * np.median(power)
+    floor = 100.0 * np.median(power)
     if floor <= 0.0:
         return []
     peaks = []
@@ -261,14 +258,12 @@ def energy(traj: Trajectory) -> np.ndarray:
     return kinetic + potential
 
 
-def driven_amplitude(traj: Trajectory, drive_omega: float,
-                     coordinate: str = "z",
-                     discard_fraction: float = 0.2) -> float:
-    """Lock-in amplitude of a coordinate at the drive frequency.
+def driven_amplitude(traj: Trajectory, drive_omega: float) -> float:
+    """Lock-in amplitude of z at the drive frequency.
 
-    The first discard_fraction of the run is skipped and the demodulation
-    window is truncated to an integer number of drive periods, which keeps
-    leakage from the free oscillation at the per-mille level.
+    The first fifth of the run is skipped and the demodulation window is
+    truncated to an integer number of drive periods, which keeps leakage
+    from the free oscillation at the per-mille level.
     """
     # scipy's trapezoid, not np.trapezoid: the latter needs numpy >= 2
     from scipy.integrate import trapezoid
@@ -276,8 +271,8 @@ def driven_amplitude(traj: Trajectory, drive_omega: float,
     if not traj.uniform:
         raise ValueError("non-uniform sampling; rerun with the fixed-step rk4 method")
     t = traj.times
-    signal = traj.coordinate(coordinate)
-    start = int(discard_fraction * t.size)
+    signal = traj.coordinate("z")
+    start = int(0.2 * t.size)
     t, signal = t[start:], signal[start:]
     period = 2.0 * math.pi / drive_omega
     n_periods = int((t[-1] - t[0]) / period)

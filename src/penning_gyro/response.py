@@ -32,14 +32,6 @@ class OscillatorParams:
         return self.omega_r / self.omega_z
 
 
-@dataclass(frozen=True)
-class AmplitudeResult:
-    z_single: float        # m, per-ion amplitude at the given drive radius
-    z_avg: float           # m, cloud average (= outermost/2 rule)
-    drive_amplitude: float  # m
-    rotation: float        # rad/s
-
-
 def transfer_gain(params: OscillatorParams) -> float:
     """Dimensionless magnification 1/sqrt((1-G^2)^2 + (2 zeta G)^2)."""
     g = params.gamma_ratio
@@ -47,32 +39,25 @@ def transfer_gain(params: OscillatorParams) -> float:
     return 1.0 / math.hypot(1.0 - g * g, 2.0 * z * g)
 
 
-def z_amplitude(omega_x: float, y_amp: float, params: OscillatorParams) -> AmplitudeResult:
-    """Axial amplitude for one ion whose radial projection amplitude is y_amp.
+def z_amplitude(omega_x: float, y_amp: float, params: OscillatorParams) -> float:
+    """Axial amplitude in m of one ion whose radial projection amplitude is y_amp.
 
     Z = (2 omega_r / omega_z^2) * gain * |Omega_x| * Y; at resonance this
     reduces exactly to Z = (2 Q / omega_z) * Omega_x * Y.
     """
     if y_amp < 0.0:
         raise ValueError("y_amp must be non-negative")
-    z_single = (2.0 * params.omega_r * transfer_gain(params)
-                / params.omega_z ** 2) * abs(omega_x) * y_amp
-    return AmplitudeResult(z_single=z_single, z_avg=0.5 * z_single,
-                           drive_amplitude=y_amp, rotation=omega_x)
-
-
-def cloud_average_amplitude(r_cl: float, omega_x: float,
-                            params: OscillatorParams) -> AmplitudeResult:
-    """Cloud response; averaging rule is half of the outermost-ion amplitude.
-
-    (A uniform disk's mean radius would be 2 r_cl/3; the half-the-outermost
-    rule is kept deliberately as the cruder but standard bookkeeping.)
-    """
-    if not r_cl > 0.0:
-        raise ValueError("r_cl must be positive")
-    return z_amplitude(omega_x, r_cl, params)
+    return (2.0 * params.omega_r * transfer_gain(params)
+            / params.omega_z ** 2) * abs(omega_x) * y_amp
 
 
 def rotation_scale_factor(r_cl: float, params: OscillatorParams) -> float:
-    """Cloud-average axial amplitude per unit rotation rate, m per rad/s."""
-    return cloud_average_amplitude(r_cl, 1.0, params).z_avg
+    """Cloud-average axial amplitude per unit rotation rate, m per rad/s.
+
+    The cloud average is half of the outermost-ion amplitude.  (A uniform
+    disk's mean radius would be 2 r_cl/3; the half-the-outermost rule is
+    kept deliberately as the cruder but standard bookkeeping.)
+    """
+    if not r_cl > 0.0:
+        raise ValueError("r_cl must be positive")
+    return 0.5 * z_amplitude(1.0, r_cl, params)

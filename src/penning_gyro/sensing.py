@@ -1,8 +1,8 @@
 """Spin-dependent-force Ramsey readout chain and the sensitivity budget.
 
 The spin ensemble is handled through closed-form population statistics;
-the drive is taken exactly on the beat resonance (zero beat detuning), so
-the precession angle is theta = (F0/hbar) Z_c tau cos(delta_phase).
+the drive is taken exactly on the beat resonance and in phase with the
+force, so the precession angle is theta = (F0/hbar) Z_c tau.
 The "e" in the single-shot resolution is Euler's number: it enters as
 exp(Gamma tau) evaluated at the optimum Gamma tau = 1, not as the
 elementary charge.
@@ -20,17 +20,16 @@ SECONDS_PER_SQRT_HOUR = 60.0  # sqrt(3600 s/h)
 
 @dataclass(frozen=True)
 class ODFParams:
-    f0: float                 # N, per-ion spin-dependent force
-    tau: float                # s, precession duration
-    gamma: float              # 1/s, spontaneous decay rate
-    delta_phase: float = 0.0  # rad, drive-vs-force phase
+    f0: float     # N, per-ion spin-dependent force
+    tau: float    # s, precession duration
+    gamma: float  # 1/s, spontaneous decay rate
 
     def __post_init__(self):
         if not self.f0 > 0.0:
             raise ValueError("f0 must be positive")
         if not self.tau > 0.0:
             raise ValueError("tau must be positive")
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise ValueError("gamma must be non-negative")
 
 
@@ -44,8 +43,8 @@ class EnsembleSpec:
 
 
 def precession_angle(odf: ODFParams, zc: float) -> float:
-    """theta = (F0/hbar) Z_c tau cos(delta_phase), rad."""
-    return (odf.f0 / CONST.reduced_planck) * zc * odf.tau * math.cos(odf.delta_phase)
+    """theta = (F0/hbar) Z_c tau, rad."""
+    return (odf.f0 / CONST.reduced_planck) * zc * odf.tau
 
 
 def ramsey_population(theta: float, gamma: float, tau: float) -> float:
@@ -56,11 +55,6 @@ def ramsey_population(theta: float, gamma: float, tau: float) -> float:
 def population_difference(theta_max: float, gamma: float, tau: float) -> float:
     """Background-free signal from the delta=0 / delta=pi measurement pair."""
     return math.exp(-gamma * tau) * math.sin(theta_max)
-
-
-def projection_noise_angle(ens: EnsembleSpec, odf: ODFParams) -> float:
-    """Spin-projection-noise floor on theta_max: exp(Gamma tau)/sqrt(2N)."""
-    return math.exp(odf.gamma * odf.tau) / math.sqrt(2.0 * ens.n_ions)
 
 
 def population_snr(ens: EnsembleSpec, odf: ODFParams, zc: float) -> float:
@@ -140,9 +134,6 @@ def build_budget(ens: EnsembleSpec, odf: ODFParams, scale_factor: float,
     )
 
 
-def budget_json(budget: SensitivityBudget, extra: dict | None = None) -> str:
-    payload = {"schema_version": 1}
-    payload.update(budget.as_dict())
-    if extra:
-        payload.update(extra)
+def budget_json(budget: SensitivityBudget, extra: dict) -> str:
+    payload = {"schema_version": 1, **budget.as_dict(), **extra}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -24,7 +24,7 @@ import math
 from dataclasses import astuple, dataclass
 from typing import Sequence
 
-from .core import CONST, IonSpecies, write_csv
+from .core import K_COULOMB, IonSpecies, write_csv
 from .modes import ModeFrequencies
 
 
@@ -99,7 +99,6 @@ def axial_depolarization(alpha: float) -> float:
 class AspectRatioRoot:
     alpha: float
     residual: float
-    n_roots: int      # always 1: the residual rises strictly with alpha
 
 
 # the 1001 trial aspect ratios: 1e-3 steps from 1e-6, then 1 - 1e-6
@@ -123,10 +122,9 @@ def aspect_ratio_root(beta: float) -> AspectRatioRoot:
             alpha = brentq(cold_fluid_residual, _ALPHA_GRID[i - 1], alpha,
                            args=(beta,), xtol=1e-15, rtol=8.9e-16)
             return AspectRatioRoot(alpha=alpha,
-                                   residual=cold_fluid_residual(alpha, beta),
-                                   n_roots=1)
+                                   residual=cold_fluid_residual(alpha, beta))
         if value == 0.0:
-            return AspectRatioRoot(alpha=alpha, residual=value, n_roots=1)
+            return AspectRatioRoot(alpha=alpha, residual=value)
         values.append(value)
     raise AspectRatioBracketError(
         f"shape relation has no sign change on ({_ALPHA_GRID[0]}, "
@@ -150,7 +148,7 @@ def coulomb_trap_length(species: IonSpecies, omega_z: float) -> float:
     The m in the denominator is required for a0 to be a length; the
     mass-less variant sometimes quoted is dimensionally inconsistent.
     """
-    k = species.charge ** 2 / (4.0 * math.pi * CONST.vacuum_permittivity)
+    k = species.charge ** 2 * K_COULOMB
     return (k / (species.mass * omega_z ** 2)) ** (1.0 / 3.0)
 
 
@@ -181,13 +179,12 @@ class PlanarityReport:
     wall_margin: float         # beta - delta
 
 
-def planarity_check(beta: float, delta: float,
-                    threshold: float = PLANARITY_THRESHOLD) -> PlanarityReport:
-    planar = beta < threshold
+def planarity_check(beta: float, delta: float) -> PlanarityReport:
+    planar = beta < PLANARITY_THRESHOLD
     wall = beta > delta
     return PlanarityReport(planar=planar, wall_dominated=wall,
                            passes=planar and wall,
-                           planar_margin=threshold - beta,
+                           planar_margin=PLANARITY_THRESHOLD - beta,
                            wall_margin=beta - delta)
 
 

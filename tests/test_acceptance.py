@@ -37,7 +37,7 @@ from penning_gyro.equilibrium import (
     rotating_frame_potential,
 )
 from penning_gyro.modes import compute_modes, freq_difference_sweep
-from penning_gyro.response import OscillatorParams, cloud_average_amplitude, z_amplitude
+from penning_gyro.response import OscillatorParams, rotation_scale_factor, z_amplitude
 from penning_gyro.sensing import (
     EnsembleSpec,
     ODFParams,
@@ -256,9 +256,9 @@ def test_criterion_08_coriolis_chain():
     osc = OscillatorParams(omega_z=modes.omega_z, omega_r=modes.omega_z,
                            quality_factor=1e6)
     outer = z_amplitude(1.0, 0.022e-2, osc)
-    cloud = cloud_average_amplitude(0.022e-2, 1.0, osc)
-    resonance_ok = (_within(outer.z_single, 0.028e-2, 0.05)
-                    and _within(cloud.z_avg, 0.014e-2, 0.05))
+    cloud = rotation_scale_factor(0.022e-2, osc)
+    resonance_ok = (_within(outer, 0.028e-2, 0.05)
+                    and _within(cloud, 0.014e-2, 0.05))
 
     # off-resonance cross-check against the integrator: magnetron-driven
     # axial response of a single particle at 10 V, 10 rad/s about x
@@ -271,11 +271,11 @@ def test_criterion_08_coriolis_chain():
     undamped = OscillatorParams(omega_z=modes10.omega_z,
                                 omega_r=modes10.omega_m,
                                 quality_factor=math.inf)
-    predicted = z_amplitude(10.0, 25e-6, undamped).z_single
+    predicted = z_amplitude(10.0, 25e-6, undamped)
     ode_ok = _within(measured, predicted, 0.05)
     _report(8, "rotation-to-amplitude chain", resonance_ok and ode_ok,
-            f"resonance {outer.z_single * 1e2:.4f} cm / cloud "
-            f"{cloud.z_avg * 1e2:.4f} cm; off-resonance ODE {measured:.3e} m "
+            f"resonance {outer * 1e2:.4f} cm / cloud "
+            f"{cloud * 1e2:.4f} cm; off-resonance ODE {measured:.3e} m "
             f"vs closed form {predicted:.3e} m")
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from penning_gyro.response import (
     OscillatorParams,
-    cloud_average_amplitude,
     rotation_scale_factor,
     transfer_gain,
     z_amplitude,
@@ -52,31 +51,28 @@ def test_gain_below_resonance_bounded(ratio, q):
 def test_resonant_amplitude_anchor():
     # Omega = 1 rad/s, Y = 0.022 cm, Q = 1e6 at the 247 kHz axial mode
     p = OscillatorParams(omega_z=OMEGA_Z, omega_r=OMEGA_Z, quality_factor=1e6)
-    result = z_amplitude(1.0, 0.022e-2, p)
-    assert result.z_single == pytest.approx(0.028e-2, rel=0.05)
-    assert result.z_avg == pytest.approx(0.014e-2, rel=0.05)
+    assert z_amplitude(1.0, 0.022e-2, p) == pytest.approx(0.028e-2, rel=0.05)
+    assert rotation_scale_factor(0.022e-2, p) == pytest.approx(0.014e-2, rel=0.05)
 
 
 def test_amplitude_linear_in_rotation():
     p = OscillatorParams(omega_z=OMEGA_Z, omega_r=0.3 * OMEGA_Z,
                          quality_factor=1e5)
-    a1 = z_amplitude(1.0, 1e-4, p).z_single
-    a5 = z_amplitude(5.0, 1e-4, p).z_single
+    a1 = z_amplitude(1.0, 1e-4, p)
+    a5 = z_amplitude(5.0, 1e-4, p)
     assert a5 == pytest.approx(5.0 * a1, rel=1e-12, abs=0)
     # sign of the rotation does not change the magnitude
-    assert z_amplitude(-1.0, 1e-4, p).z_single == pytest.approx(a1, rel=1e-12, abs=0)
+    assert z_amplitude(-1.0, 1e-4, p) == pytest.approx(a1, rel=1e-12, abs=0)
 
 
 def test_cloud_average_is_half_outermost():
     p = OscillatorParams(omega_z=OMEGA_Z, omega_r=OMEGA_Z, quality_factor=1e6)
-    result = cloud_average_amplitude(2.2e-4, 1.0, p)
-    assert result.z_avg == pytest.approx(0.5 * result.z_single, rel=1e-15)
+    assert rotation_scale_factor(2.2e-4, p) == 0.5 * z_amplitude(1.0, 2.2e-4, p)
 
 
 def test_scale_factor_matches_unit_rotation():
     p = OscillatorParams(omega_z=OMEGA_Z, omega_r=OMEGA_Z, quality_factor=1e6)
     scale = rotation_scale_factor(2.2e-4, p)
-    assert scale == pytest.approx(cloud_average_amplitude(2.2e-4, 1.0, p).z_avg)
     assert scale == pytest.approx(1e6 * 2.2e-4 / OMEGA_Z, rel=1e-9)
 
 
@@ -85,4 +81,4 @@ def test_bad_inputs_rejected():
     with pytest.raises(ValueError):
         z_amplitude(1.0, -1e-4, p)
     with pytest.raises(ValueError):
-        cloud_average_amplitude(0.0, 1.0, p)
+        rotation_scale_factor(0.0, p)

@@ -15,7 +15,6 @@ from penning_gyro.sensing import (
     population_difference,
     population_snr,
     precession_angle,
-    projection_noise_angle,
     ramsey_population,
     rotation_sensitivity,
     single_shot_amplitude_resolution,
@@ -60,11 +59,6 @@ def test_population_difference_and_snr():
     snr = population_snr(ENS, ODF, single_shot_amplitude_resolution(ENS, ODF))
     # SNR = 1 by construction at the resolution floor (small-angle regime)
     assert snr == pytest.approx(1.0, rel=1e-3)
-
-
-def test_projection_noise_angle():
-    assert projection_noise_angle(ENS, ODF) == pytest.approx(
-        math.e / math.sqrt(2e4), rel=1e-12)
 
 
 def test_single_shot_resolution_anchor():

@@ -62,7 +62,6 @@ def test_root_residual_small():
     for beta in (0.01, 0.054, 0.3, 0.7, 0.99):
         root = aspect_ratio_root(beta)
         assert abs(root.residual) < 1e-12
-        assert root.n_roots == 1
 
 
 @settings(max_examples=30, deadline=None)

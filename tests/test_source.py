@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import penning_gyro
@@ -55,3 +56,52 @@ def test_scipy_is_imported_only_inside_functions():
     found = {path.name: _import_time_scipy_imports(ast.parse(path.read_text()))
              for path in sources}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLER_DIRS = ("src", "tests", "scripts", "perfbench")
+
+
+def _defaulted_parameters(func: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """(name, position or None for keyword-only) of each defaulted parameter."""
+    positional = func.args.posonlyargs + func.args.args
+    first = len(positional) - len(func.args.defaults)
+    params = [(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+    return params + [(arg.arg, None) for arg, default in
+                     zip(func.args.kwonlyargs, func.args.kw_defaults)
+                     if default is not None]
+
+
+def _calls(tree: ast.Module):
+    """(called name, positional count, keyword names) of every call; a
+    *args or **kwargs counts as passing every parameter of its kind."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        keywords = {kw.arg for kw in node.keywords}
+        yield (name, math.inf if starred else len(node.args), keywords)
+
+
+def test_every_default_is_passed_by_some_caller():
+    # an option that no caller sets is a constant in disguise
+    calls = {}
+    for directory in CALLER_DIRS:
+        for path in (ROOT / directory).rglob("*.py"):
+            for name, n_args, keywords in _calls(ast.parse(path.read_text())):
+                calls.setdefault(name, []).append((n_args, keywords))
+    unset = []
+    for path in sorted((ROOT / "src" / "penning_gyro").glob("*.py")):
+        for func in ast.parse(path.read_text()).body:
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for param, position in _defaulted_parameters(func):
+                passed = any(param in keywords or None in keywords
+                             or (position is not None and n_args > position)
+                             for n_args, keywords in calls.get(func.name, []))
+                if not passed:
+                    unset.append(f"{path.name}:{func.name}({param})")
+    assert len(calls) > 100  # the walk found the callers
+    assert unset == []
