@@ -19,7 +19,6 @@ from .dynamics import (
     IntegratorConfig,
     ParticleState,
     Trajectory,
-    eom_derivative,
     extract_spectrum,
     integrate,
     magnetron_orbit_state,

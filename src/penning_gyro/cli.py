@@ -121,7 +121,7 @@ def _cmd_modes(args, config: RunConfig) -> int:
             "stable": report.stable, "stability_margin_rad_s": report.margin,
         }, indent=2, sort_keys=True))
     else:
-        print(f"{config.species}  B={config.b_field_t} T  "
+        print(f"{species.name}  B={config.b_field_t} T  "
               f"V={config.trap_voltage_v} V  z0={config.char_length_m} m")
         for name, f in rows:
             print(f"  {name:20s} {f / 1e3:12.4f} kHz")

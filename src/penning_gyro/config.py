@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .core import SPECIES_REGISTRY, IonSpecies, TrapConfig
+from .core import CA40, IonSpecies, TrapConfig
 from .modes import ModeFrequencies, compute_modes
 from .shape import RotatingWallConfig
 
@@ -22,7 +22,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    species: str = "Ca+"
     b_field_t: float = 1.0
     trap_voltage_v: float = 100.0
     char_length_m: float = 0.01
@@ -42,11 +41,7 @@ class RunConfig:
     seed: int = 0
 
     def ion(self) -> IonSpecies:
-        try:
-            return SPECIES_REGISTRY[self.species]
-        except KeyError:
-            raise ConfigError(f"unknown species {self.species!r}; "
-                              f"known: {sorted(SPECIES_REGISTRY)}") from None
+        return CA40
 
     def trap(self) -> TrapConfig:
         try:
@@ -74,21 +69,18 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
-    if kind in ("int",):
+    if _FIELD_TYPES[key] == "int":
         try:
             return int(raw)
         except ValueError:
             raise ConfigError(f"field {key!r} expects an integer, got {raw!r}") from None
-    if kind in ("float",):
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"field {key!r} expects a number, got {raw!r}") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"field {key!r} must be finite")
-        return value
-    return raw
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"field {key!r} expects a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"field {key!r} must be finite")
+    return value
 
 
 def parse_config_text(text: str) -> dict:

@@ -37,8 +37,8 @@ class IonSpecies:
     charge: float  # C
 
     def __post_init__(self):
-        if not self.mass > 0.0:
-            raise ValueError("ion mass must be positive")
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError("ion mass must be positive and finite")
         if not (math.isfinite(self.charge) and self.charge != 0.0):
             raise ValueError("ion charge must be finite and nonzero")
 
@@ -51,8 +51,6 @@ CA40 = IonSpecies(
     charge=+CONST.elementary_charge,
 )
 
-SPECIES_REGISTRY: dict[str, IonSpecies] = {"Ca+": CA40}
-
 
 @dataclass(frozen=True)
 class TrapConfig:
@@ -63,12 +61,12 @@ class TrapConfig:
     char_length_z0: float   # m
 
     def __post_init__(self):
-        if not self.b_field > 0.0:
-            raise ValueError("b_field must be positive")
-        if not self.trap_voltage > 0.0:
-            raise ValueError("trap_voltage must be positive")
-        if not self.char_length_z0 > 0.0:
-            raise ValueError("char_length_z0 must be positive")
+        if not 0.0 < self.b_field < math.inf:
+            raise ValueError("b_field must be positive and finite")
+        if not 0.0 < self.trap_voltage < math.inf:
+            raise ValueError("trap_voltage must be positive and finite")
+        if not 0.0 < self.char_length_z0 < math.inf:
+            raise ValueError("char_length_z0 must be positive and finite")
 
 
 @dataclass(frozen=True)

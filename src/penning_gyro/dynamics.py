@@ -44,25 +44,15 @@ class ParticleState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    # s, the rk4 step; rk45 chooses its own steps and uses
-    # time_step * sample_stride only as its output grid
-    time_step: float
+    time_step: float               # s, the RK4 step
     total_time: float              # s
-    method: str = "rk4"            # "rk4" (fixed step) or "rk45" (adaptive)
-    rel_tol: float = 1e-9          # adaptive only
-    abs_tol: float = 1e-12         # adaptive only
     sample_stride: int = 1         # keep every n-th step
 
     def __post_init__(self):
         if not self.time_step > 0.0:
             raise ValueError("time_step must be positive")
-        if not self.total_time >= self.time_step:
-            raise ValueError("total_time must be >= time_step")
-        if self.method not in ("rk4", "rk45"):
-            raise ValueError(f"unknown method {self.method!r}")
-        for tol in (self.rel_tol, self.abs_tol):
-            if not (0.0 < tol <= 1e-2):
-                raise ValueError("tolerances must lie in (0, 1e-2]")
+        if not self.time_step <= self.total_time < math.inf:
+            raise ValueError("total_time must be finite and >= time_step")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
 
@@ -89,8 +79,8 @@ class Trajectory:
 def _generator(species: IonSpecies, trap: TrapConfig, rot: RotationInput) -> np.ndarray:
     """The force law as the 6x6 generator A of du/dt = A u, u = (r, v).
 
-    This is the only copy of the equation of motion: acceleration,
-    eom_derivative and both integrators read their coefficients from it.
+    This is the only copy of the equation of motion: acceleration and
+    the RK4 integrator read their coefficients from it.
     """
     wz2 = axial_frequency_squared(species, trap)
     # signed Lorentz coefficient: q/m * B, sign of the charge kept
@@ -109,13 +99,6 @@ def acceleration(position, velocity, species: IonSpecies, trap: TrapConfig,
                  rot: RotationInput) -> np.ndarray:
     """Total acceleration at one phase-space point."""
     return _generator(species, trap, rot)[3:] @ np.concatenate([position, velocity])
-
-
-def eom_derivative(state: ParticleState, species: IonSpecies, trap: TrapConfig,
-                   rot: RotationInput) -> ParticleState:
-    """Phase-space time derivative: (velocity, acceleration)."""
-    du = _generator(species, trap, rot) @ np.concatenate([state.position, state.velocity])
-    return ParticleState(position=du[:3], velocity=du[3:])
 
 
 def magnetron_orbit_state(radius: float, modes: ModeFrequencies) -> ParticleState:
@@ -166,30 +149,14 @@ def _rk4_samples(gen: np.ndarray, u0: np.ndarray, dt: float, n_samples: int,
 
 def integrate(state0: ParticleState, species: IonSpecies, trap: TrapConfig,
               rot: RotationInput, cfg: IntegratorConfig) -> Trajectory:
-    """Deterministic integration of the equation of motion.
-
-    rk4 samples at exactly time_step * sample_stride spacing; rk45 uses
-    scipy's adaptive RK45 evaluated on the same uniform output grid.
-    """
-    gen = _generator(species, trap, rot)
+    """Fixed-step RK4 integration of the equation of motion, sampled at
+    exactly time_step * sample_stride spacing."""
     y0 = np.concatenate([state0.position, state0.velocity])
     n_steps = int(round(cfg.total_time / cfg.time_step))
     times = np.arange(n_steps // cfg.sample_stride + 1) * (
         cfg.time_step * cfg.sample_stride)
-    if cfg.method == "rk4":
-        samples = _rk4_samples(gen, y0, cfg.time_step, times.size,
-                               cfg.sample_stride)
-    else:
-        from scipy.integrate import solve_ivp
-
-        sol = solve_ivp(lambda _t, u: gen @ u, (0.0, float(times[-1])), y0,
-                        method="RK45", t_eval=times, rtol=cfg.rel_tol,
-                        atol=cfg.abs_tol)
-        if not sol.success:
-            raise IntegrationError(
-                f"adaptive step failure near t={sol.t[-1] if sol.t.size else 0.0:.6g} s: "
-                f"{sol.message}")
-        samples = sol.y.T
+    samples = _rk4_samples(_generator(species, trap, rot), y0, cfg.time_step,
+                           times.size, cfg.sample_stride)
     if not np.all(np.isfinite(samples)):
         bad = int(np.argmax(~np.all(np.isfinite(samples), axis=1)))
         raise IntegrationError(f"non-finite state at t={times[bad]:.6g} s")
@@ -207,7 +174,7 @@ def default_time_step(species: IonSpecies, trap: TrapConfig) -> float:
 def periodogram(traj: Trajectory, coordinate: str = "z"):
     """One-sided power spectrum of a coordinate; requires uniform sampling."""
     if not traj.uniform:
-        raise ValueError("non-uniform sampling; rerun with the fixed-step rk4 method")
+        raise ValueError("trajectory must be uniformly sampled")
     if traj.times.size < 4096:
         raise ValueError("need at least 4096 uniform samples for the spectrum")
     signal = traj.coordinate(coordinate)
@@ -269,7 +236,7 @@ def driven_amplitude(traj: Trajectory, drive_omega: float) -> float:
     from scipy.integrate import trapezoid
 
     if not traj.uniform:
-        raise ValueError("non-uniform sampling; rerun with the fixed-step rk4 method")
+        raise ValueError("trajectory must be uniformly sampled")
     t = traj.times
     signal = traj.coordinate("z")
     start = int(0.2 * t.size)

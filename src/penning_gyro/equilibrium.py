@@ -75,8 +75,8 @@ class RelaxationConfig:
     initial_seed: int = 0
 
     def __post_init__(self):
-        if not self.force_tolerance > 0.0:
-            raise ValueError("force_tolerance must be positive")
+        if not 0.0 < self.force_tolerance < math.inf:
+            raise ValueError("force_tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)

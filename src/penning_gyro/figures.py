@@ -48,12 +48,12 @@ def _single_particle_run(config: RunConfig, total_time: float | None, stride: in
     cfg = IntegratorConfig(time_step=default_time_step(species, trap),
                            total_time=total_time, sample_stride=stride)
     rot = RotationInput(omega_x=SINGLE_PARTICLE_OMEGA_X)
-    return integrate(state0, species, trap, rot, cfg), modes
+    return integrate(state0, species, trap, rot, cfg)
 
 
 def fig1_orbit(config: RunConfig, outdir: str) -> list[str]:
     """xy magnetron orbit of the pinned single-particle scenario."""
-    traj, _ = _single_particle_run(config, total_time=None, stride=4)
+    traj = _single_particle_run(config, total_time=None, stride=4)
     path = os.path.join(outdir, "fig1_trajectory.csv")
     write_trajectory_csv(traj, path)
     return [path]
@@ -62,7 +62,7 @@ def fig1_orbit(config: RunConfig, outdir: str) -> list[str]:
 def fig2_axial_response(config: RunConfig, outdir: str) -> list[str]:
     """Axial oscillation driven by the rotation input: t vs z plus its
     power spectrum."""
-    traj, _ = _single_particle_run(config, total_time=2e-3, stride=8)
+    traj = _single_particle_run(config, total_time=2e-3, stride=8)
     path = os.path.join(outdir, "fig2_axial.csv")
     write_csv(path, ["t", "z"],
               np.column_stack([traj.times, traj.positions[:, 2]]).tolist())

@@ -25,12 +25,12 @@ class ODFParams:
     gamma: float  # 1/s, spontaneous decay rate
 
     def __post_init__(self):
-        if not self.f0 > 0.0:
-            raise ValueError("f0 must be positive")
-        if not self.tau > 0.0:
-            raise ValueError("tau must be positive")
-        if not self.gamma >= 0.0:
-            raise ValueError("gamma must be non-negative")
+        if not 0.0 < self.f0 < math.inf:
+            raise ValueError("f0 must be positive and finite")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ class EnsembleSpec:
     n_ions: int
 
     def __post_init__(self):
-        if self.n_ions < 1:
-            raise ValueError("need at least one ion")
+        if not 1 <= self.n_ions < math.inf:
+            raise ValueError("need a finite count of at least one ion")
 
 
 def precession_angle(odf: ODFParams, zc: float) -> float:

@@ -2,9 +2,9 @@
 
 One relation fixes the shape: the axial depolarization coefficient of the
 uniform spheroid equals the confinement it balances,
-A_z(alpha) = 1/(2 beta + 1).  ``aspect_ratio_root`` is its only solver; it
-works on ``cold_fluid_residual``, the relation written with the k0/k1
-intermediates.  The published grouping of that relation,
+A_z(alpha) = 1/(2 beta + 1).  ``aspect_ratio_from_beta`` is its only
+solver; it works on ``cold_fluid_residual``, the relation written with the
+k0/k1 intermediates.  The published grouping of that relation,
 k1 * [(1-k0^2)^(-1/2) * asin(k0)/k0], simplifies to 3*asin(k0)/k0^3 which
 is >= 3pi/2 on the whole oblate branch and therefore can never equal
 3/(2*beta+1) <= 3 for beta > 0: it has no root.  The single repaired
@@ -35,11 +35,6 @@ class WallFrequencyError(ValueError):
 class AspectRatioBracketError(ValueError):
     """No sign change found when scanning the shape relation residual."""
 
-    def __init__(self, message, alphas, residuals):
-        super().__init__(message)
-        self.alphas = alphas
-        self.residuals = residuals
-
 
 @dataclass(frozen=True)
 class RotatingWallConfig:
@@ -58,8 +53,6 @@ class SpheroidGeometry:
     r_cl: float        # m, equatorial radius
     z_cl: float        # m, axial half-extent
     density_n: float   # m^-3
-    ion_count: float
-    a0: float          # m, Coulomb-vs-trap length scale
 
     def __post_init__(self):
         if not (self.r_cl > self.z_cl > 0.0):
@@ -95,18 +88,13 @@ def axial_depolarization(alpha: float) -> float:
     return (1.0 - alpha * math.asin(ecc) / ecc) / ecc ** 2
 
 
-@dataclass(frozen=True)
-class AspectRatioRoot:
-    alpha: float
-    residual: float
-
-
 # the 1001 trial aspect ratios: 1e-3 steps from 1e-6, then 1 - 1e-6
 _ALPHA_GRID = tuple([1e-6 + i * 1e-3 for i in range(1000)] + [1.0 - 1e-6])
 
 
-def aspect_ratio_root(beta: float) -> AspectRatioRoot:
-    """Root of the k0/k1 relation with its residual attached.
+def aspect_ratio_from_beta(beta: float) -> float:
+    """Aspect ratio alpha = z_cl/r_cl on the oblate branch: the root of
+    ``cold_fluid_residual``.
 
     Walks the grid to the first cell where the residual changes sign (or
     is exactly zero) and refines that cell with brentq.
@@ -115,25 +103,18 @@ def aspect_ratio_root(beta: float) -> AspectRatioRoot:
 
     if not (0.0 < beta < 1.0):
         raise ValueError("oblate branch requires 0 < beta < 1")
-    values = []
+    previous = 0.0  # 0 * value is never < 0: no cell ends at the first point
     for i, alpha in enumerate(_ALPHA_GRID):
         value = cold_fluid_residual(alpha, beta)
-        if values and values[-1] * value < 0.0:
-            alpha = brentq(cold_fluid_residual, _ALPHA_GRID[i - 1], alpha,
-                           args=(beta,), xtol=1e-15, rtol=8.9e-16)
-            return AspectRatioRoot(alpha=alpha,
-                                   residual=cold_fluid_residual(alpha, beta))
+        if previous * value < 0.0:
+            return brentq(cold_fluid_residual, _ALPHA_GRID[i - 1], alpha,
+                          args=(beta,), xtol=1e-15, rtol=8.9e-16)
         if value == 0.0:
-            return AspectRatioRoot(alpha=alpha, residual=value)
-        values.append(value)
+            return alpha
+        previous = value
     raise AspectRatioBracketError(
         f"shape relation has no sign change on ({_ALPHA_GRID[0]}, "
-        f"{_ALPHA_GRID[-1]}) for beta={beta:.6g}", list(_ALPHA_GRID), values)
-
-
-def aspect_ratio_from_beta(beta: float) -> float:
-    """Aspect ratio alpha = z_cl/r_cl on the oblate branch."""
-    return aspect_ratio_root(beta).alpha
+        f"{_ALPHA_GRID[-1]}) for beta={beta:.6g}")
 
 
 def oracle_aspect_ratio_depolarization(beta: float) -> float:
@@ -163,8 +144,7 @@ def spheroid_dimensions(n_ions: float, alpha: float, beta: float,
     r_cl = a0 * (3.0 / (2.0 * beta + 1.0) * n_ions / alpha) ** (1.0 / 3.0)
     z_cl = alpha * r_cl
     density = n_ions / (4.0 / 3.0 * math.pi * z_cl * r_cl ** 2)
-    return SpheroidGeometry(r_cl=r_cl, z_cl=z_cl, density_n=density,
-                            ion_count=n_ions, a0=a0)
+    return SpheroidGeometry(r_cl=r_cl, z_cl=z_cl, density_n=density)
 
 
 PLANARITY_THRESHOLD = 0.1  # "much less than 1" pinned to a usable number

@@ -49,7 +49,7 @@ from penning_gyro.sensing import (
 from penning_gyro.shape import (
     RotatingWallConfig,
     aspect_ratio_from_beta,
-    aspect_ratio_root,
+    cold_fluid_residual,
     coulomb_trap_length,
     normalized_wall_frequency,
     oracle_aspect_ratio_depolarization,
@@ -193,9 +193,9 @@ def test_criterion_05_collapse_and_alpha_maximum():
 
 def test_criterion_06_shape_relation_triangulation():
     betas = np.linspace(0.01, 0.99, 99)
-    roots = [aspect_ratio_root(b) for b in betas]
-    residual_ok = all(abs(r.residual) < 1e-12 for r in roots)
-    primary = [r.alpha for r in roots]
+    primary = [aspect_ratio_from_beta(b) for b in betas]
+    residuals = [cold_fluid_residual(a, b) for a, b in zip(primary, betas)]
+    residual_ok = all(abs(r) < 1e-12 for r in residuals)
     oracle = [oracle_aspect_ratio_depolarization(b) for b in betas]
     monotone_ok = (all(a < b for a, b in zip(primary, primary[1:]))
                    and all(a < b for a, b in zip(oracle, oracle[1:])))
@@ -203,7 +203,7 @@ def test_criterion_06_shape_relation_triangulation():
     anchor_ok = abs(anchor - 0.067) <= 0.003
     _report(6, "shape relation triangulation",
             residual_ok and monotone_ok and anchor_ok,
-            f"max residual {max(abs(r.residual) for r in roots):.2e}; "
+            f"max residual {max(abs(r) for r in residuals):.2e}; "
             f"both routes monotone ({monotone_ok}); oracle alpha(0.054)="
             f"{anchor:.4f}")
 

@@ -54,8 +54,9 @@ def test_unknown_field_exit_code(capsys):
     assert "unknown field" in err
 
 
-def test_removed_integrator_field_is_unknown(capsys):
-    code, _, err = run(["--set", "method=rk45", "budget"], capsys)
+@pytest.mark.parametrize("setting", ["method=rk45", "species=Ca+"])
+def test_removed_integrator_field_is_unknown(setting, capsys):
+    code, _, err = run(["--set", setting, "budget"], capsys)
     assert code == EXIT_CONFIG
     assert "unknown field" in err
 

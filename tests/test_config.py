@@ -5,7 +5,6 @@ from penning_gyro.config import ConfigError, RunConfig, load_config, parse_confi
 
 def test_defaults():
     cfg = RunConfig()
-    assert cfg.species == "Ca+"
     assert cfg.b_field_t == 1.0
     assert cfg.trap_voltage_v == 100.0
     assert cfg.n_crystal == 1000
@@ -17,10 +16,8 @@ def test_parse_values_and_comments():
     # comment line
     trap_voltage_v = 10.0   # inline comment
     n_crystal = 200
-    species = Ca+
     """)
-    assert values == {"trap_voltage_v": 10.0, "n_crystal": 200,
-                      "species": "Ca+"}
+    assert values == {"trap_voltage_v": 10.0, "n_crystal": 200}
 
 
 def test_parse_unknown_field_reports_line():
@@ -51,11 +48,6 @@ def test_load_config_override_precedence(tmp_path):
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/run.cfg")
-
-
-def test_unknown_species_rejected():
-    with pytest.raises(ConfigError, match="unknown species"):
-        RunConfig(species="Xe+").ion()
 
 
 def test_wall_from_ratio_and_absolute():

@@ -15,7 +15,8 @@ from penning_gyro.core import (
     validate_stability,
 )
 from penning_gyro.dynamics import IntegratorConfig
-from penning_gyro.sensing import ODFParams
+from penning_gyro.equilibrium import RelaxationConfig
+from penning_gyro.sensing import EnsembleSpec, ODFParams
 
 
 def test_constants_pinned_values():
@@ -43,7 +44,23 @@ def test_species_validation():
     lambda: IonSpecies("bad", mass=1e-26, charge=math.nan),
     lambda: ODFParams(f0=1e-22, tau=0.01, gamma=math.nan),
     lambda: IntegratorConfig(time_step=1e-9, total_time=math.nan),
-], ids=["species_charge", "odf_gamma", "integrator_total_time"])
+    lambda: EnsembleSpec(n_ions=math.nan),
+    # infinities pass a bare positivity check and give nonsense downstream,
+    # e.g. a "stable" trap with omega_c = inf, or rotation_asd = inf
+    lambda: TrapConfig(b_field=math.inf, trap_voltage=10.0, char_length_z0=0.01),
+    lambda: TrapConfig(b_field=1.0, trap_voltage=math.inf, char_length_z0=0.01),
+    lambda: TrapConfig(b_field=1.0, trap_voltage=10.0, char_length_z0=math.inf),
+    lambda: IonSpecies("bad", mass=math.inf, charge=1e-19),
+    lambda: ODFParams(f0=math.inf, tau=0.01, gamma=100.0),
+    lambda: ODFParams(f0=1e-22, tau=math.inf, gamma=100.0),
+    lambda: ODFParams(f0=1e-22, tau=0.01, gamma=math.inf),
+    lambda: EnsembleSpec(n_ions=math.inf),
+    lambda: IntegratorConfig(time_step=1e-9, total_time=math.inf),
+    lambda: RelaxationConfig(force_tolerance=math.inf),
+], ids=["species_charge", "odf_gamma", "integrator_total_time", "ensemble_n_ions",
+        "trap_b_field_inf", "trap_voltage_inf", "trap_z0_inf", "species_mass_inf",
+        "odf_f0_inf", "odf_tau_inf", "odf_gamma_inf", "ensemble_n_ions_inf",
+        "integrator_total_time_inf", "relaxation_force_tolerance_inf"])
 def test_nan_inputs_rejected(build):
     with pytest.raises(ValueError):
         build()

@@ -105,3 +105,33 @@ def test_every_default_is_passed_by_some_caller():
                     unset.append(f"{path.name}:{func.name}({param})")
     assert len(calls) > 100  # the walk found the callers
     assert unset == []
+
+
+# public functions that only tests call, as references for the chain's checks
+TEST_REFERENCES = {"acceleration", "axial_depolarization", "driven_amplitude",
+                   "max_stable_voltage", "population_snr", "ramsey_population"}
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_function_runs_outside_the_tests():
+    """Each public top-level function of src/penning_gyro is named in src/
+    (outside __init__), scripts/ or perfbench/, or is a test reference.
+
+    It matches by name, not by binding: a function that shares its name
+    with another use, such as ``energy``, escapes it.
+    """
+    referenced = set()
+    for directory in ("src", "scripts", "perfbench"):
+        for path in (ROOT / directory).rglob("*.py"):
+            if path.name != "__init__.py":
+                referenced |= _referenced_names(ast.parse(path.read_text()))
+    public = {func.name for path in SOURCES
+              for func in ast.parse(path.read_text()).body
+              if isinstance(func, ast.FunctionDef) and not func.name.startswith("_")}
+    assert len(public) > 40  # the walk found the package
+    assert sorted(public - referenced - TEST_REFERENCES) == []
+    assert TEST_REFERENCES <= public - referenced  # no stale entry
