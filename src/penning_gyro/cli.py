@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure:
+a ``core.NumericalError`` or an ``ArithmeticError``.
 Every subcommand honors --config/--set, --output-dir (or the
 PENNING_GYRO_OUTPUT_DIR environment variable) and --json.  --seed seeds
 the initial patch of ``crystal``, the one subcommand that draws random
@@ -15,10 +16,8 @@ import sys
 from dataclasses import asdict
 
 from .config import ConfigError, RunConfig, load_config
-from .core import CONST, validate_stability, write_csv
-from .dynamics import IntegrationError
+from .core import CONST, NumericalError, validate_stability, write_csv
 from .equilibrium import (
-    CoincidentIonsError,
     ConvergenceError,
     RelaxationConfig,
     measured_shape,
@@ -26,16 +25,10 @@ from .equilibrium import (
     write_configuration_csv,
 )
 from .figures import generate_figure
-from .modes import UnstableTrapError, compute_modes
+from .modes import compute_modes
 from .response import OscillatorParams, rotation_scale_factor
 from .sensing import EnsembleSpec, ODFParams, budget_json, build_budget
-from .shape import (
-    AspectRatioBracketError,
-    aspect_ratio_from_beta,
-    planarity_check,
-    shape_beta,
-    spheroid_dimensions,
-)
+from .shape import aspect_ratio_from_beta, planarity_check, shape_beta, spheroid_dimensions
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -126,7 +119,7 @@ def _cmd_modes(args, config: RunConfig) -> int:
         for name, f in rows:
             print(f"  {name:20s} {f / 1e3:12.4f} kHz")
         print(f"  stability margin     {report.margin:12.4g} rad/s")
-    if getattr(args, "csv", False):
+    if args.csv:
         path = os.path.join(_outdir(args), "modes.csv")
         write_csv(path, ["mode", "frequency_hz"],
                   [(name.replace(" ", "_"), f) for name, f in rows])
@@ -233,11 +226,10 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         return _HANDLERS[args.command](args, config)
-    except (IntegrationError, ConvergenceError, CoincidentIonsError,
-            ArithmeticError, AspectRatioBracketError) as exc:
+    except (NumericalError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, UnstableTrapError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -25,10 +25,7 @@ class RunConfig:
     b_field_t: float = 1.0
     trap_voltage_v: float = 100.0
     char_length_m: float = 0.01
-    # rotating wall: omega_r = wall_ratio * omega_z unless an absolute
-    # frequency is given
-    wall_ratio: float = 1.0
-    wall_freq_rad_s: float = 0.0     # 0 means "use wall_ratio"
+    wall_ratio: float = 1.0          # rotating wall: omega_r = wall_ratio * omega_z
     wall_delta: float = 0.01
     # crystal size used for geometry; spin count used for the readout
     n_crystal: int = 1000
@@ -55,12 +52,9 @@ class RunConfig:
         return compute_modes(self.ion(), self.trap())
 
     def wall(self, modes: ModeFrequencies) -> RotatingWallConfig:
-        if self.wall_freq_rad_s > 0.0:
-            omega_r = self.wall_freq_rad_s
-        else:
-            omega_r = self.wall_ratio * modes.omega_z
         try:
-            return RotatingWallConfig(omega_r=omega_r, delta=self.wall_delta)
+            return RotatingWallConfig(omega_r=self.wall_ratio * modes.omega_z,
+                                      delta=self.wall_delta)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

@@ -1,5 +1,5 @@
-"""Ion species, static trap configuration, shared physical constants, and
-the one writer of output tables.
+"""Ion species, static trap configuration, shared physical constants, the
+base type of numerical failures, and the one writer of output tables.
 
 Everything in here is immutable after construction and safe to share
 across concurrent sweep workers.
@@ -28,6 +28,10 @@ CONST = PhysicalConstants()
 
 # Coulomb constant, q-independent prefactor of the pair potential
 K_COULOMB = 1.0 / (4.0 * math.pi * CONST.vacuum_permittivity)
+
+
+class NumericalError(Exception):
+    """A computation failed on valid inputs; the CLI exits 3 on it."""
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,22 @@ radially and restores axially, and the magnetron rotation is the ExB drift
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IonSpecies, RotationInput, TrapConfig, axial_frequency_squared, write_csv
+from .core import (
+    IonSpecies,
+    NumericalError,
+    RotationInput,
+    TrapConfig,
+    axial_frequency_squared,
+    write_csv,
+)
 from .modes import ModeFrequencies, compute_modes
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(NumericalError, RuntimeError):
     pass
 
 
@@ -62,9 +69,6 @@ class Trajectory:
     times: np.ndarray       # (n,) s, strictly increasing
     positions: np.ndarray   # (n, 3) m
     velocities: np.ndarray  # (n, 3) m/s
-    species: IonSpecies = field(repr=False, default=None)
-    trap: TrapConfig = field(repr=False, default=None)
-    rotation: RotationInput = field(repr=False, default=None)
 
     @property
     def uniform(self) -> bool:
@@ -113,37 +117,29 @@ def magnetron_orbit_state(radius: float, modes: ModeFrequencies) -> ParticleStat
     )
 
 
-# Samples per block of precomputed step-matrix powers in the rk4 path:
-# 256 (6, 6) powers are 74 kB, while all of them for a long run would be
-# tens of MB.
-_SAMPLE_BLOCK = 256
-
-
 def _rk4_samples(gen: np.ndarray, u0: np.ndarray, dt: float, n_samples: int,
                  stride: int) -> np.ndarray:
     """Classical RK4 applied as its step matrix, sampled every stride steps.
 
     For du/dt = A u one RK4 step is exactly u <- M u with
-    M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 (Moler & Van Loan, SIAM
-    Rev. 45, 3 (2003)).  Samples are written a block at a time as
-    S^k u, k < _SAMPLE_BLOCK, with S = M^stride; u then jumps by
-    S^_SAMPLE_BLOCK.
+    M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, and sample k is S^k u
+    with S = M^stride.  The samples are filled by repeated squaring (the
+    scaling-and-squaring idea of Moler & Van Loan, SIAM Rev. 45, 3
+    (2003)): with the first k written and S^k in hand, the next k are
+    S^k times the first k; then S^k is squared and k doubles.
     """
     ha = dt * gen
     eye = np.eye(6)
     step = eye + ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
-    sample_step = np.linalg.matrix_power(step, stride)
-    powers = np.empty((_SAMPLE_BLOCK, 6, 6))
-    powers[0] = eye
-    for k in range(1, _SAMPLE_BLOCK):
-        powers[k] = sample_step @ powers[k - 1]
-    block_step = sample_step @ powers[-1]
+    jump = np.linalg.matrix_power(step, stride)
     out = np.empty((n_samples, 6))
-    u = u0
-    for start in range(0, n_samples, _SAMPLE_BLOCK):
-        block = out[start:start + _SAMPLE_BLOCK]
-        block[:] = powers[:block.shape[0]] @ u
-        u = block_step @ u
+    out[0] = u0
+    k = 1
+    while k < n_samples:
+        take = min(k, n_samples - k)
+        out[k:k + take] = out[:take] @ jump.T
+        jump = jump @ jump
+        k += take
     return out
 
 
@@ -161,8 +157,7 @@ def integrate(state0: ParticleState, species: IonSpecies, trap: TrapConfig,
         bad = int(np.argmax(~np.all(np.isfinite(samples), axis=1)))
         raise IntegrationError(f"non-finite state at t={times[bad]:.6g} s")
     return Trajectory(times=times, positions=samples[:, :3],
-                      velocities=samples[:, 3:], species=species, trap=trap,
-                      rotation=rot)
+                      velocities=samples[:, 3:])
 
 
 def default_time_step(species: IonSpecies, trap: TrapConfig) -> float:
@@ -209,16 +204,17 @@ def extract_spectrum(traj: Trajectory, coordinate: str = "z") -> list[SpectralPe
     return peaks
 
 
-def energy(traj: Trajectory) -> np.ndarray:
-    """Kinetic + electrostatic energy per sample, lab frame, J.
+def lab_frame_energy(traj: Trajectory, species: IonSpecies, trap: TrapConfig,
+                     rot: RotationInput) -> np.ndarray:
+    """Kinetic + electrostatic energy per sample of a run in this trap, J.
 
     Only valid at zero rotation input: with Omega != 0 the frame is
     non-inertial and this sum is not conserved, so the call is refused.
     """
-    if traj.rotation is not None and traj.rotation.omega_x != 0.0:
+    if rot.omega_x != 0.0:
         raise ValueError("energy diagnostic requires a zero-rotation trajectory")
-    m = traj.species.mass
-    wz2 = axial_frequency_squared(traj.species, traj.trap)
+    m = species.mass
+    wz2 = axial_frequency_squared(species, trap)
     kinetic = 0.5 * m * np.sum(traj.velocities ** 2, axis=1)
     x, y, z = traj.positions.T
     potential = 0.5 * m * wz2 * z ** 2 - 0.25 * m * wz2 * (x ** 2 + y ** 2)

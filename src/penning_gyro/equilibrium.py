@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IonSpecies, write_csv
+from .core import IonSpecies, NumericalError, write_csv
 from .modes import ModeFrequencies
 from .shape import (
     RotatingWallConfig,
@@ -28,11 +28,11 @@ from .shape import (
 )
 
 
-class CoincidentIonsError(ValueError):
+class CoincidentIonsError(NumericalError, ValueError):
     """Two ions share a position, or a coordinate is NaN: a numerical failure."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(NumericalError, RuntimeError):
     def __init__(self, message, best_config, report):
         super().__init__(message)
         self.best_config = best_config

@@ -17,8 +17,8 @@ class OscillatorParams:
     quality_factor: float   # Q = 1/(2 zeta); math.inf allowed (undamped)
 
     def __post_init__(self):
-        if not self.omega_z > 0.0 or not self.omega_r > 0.0:
-            raise ValueError("frequencies must be positive")
+        if not (0.0 < self.omega_z < math.inf and 0.0 < self.omega_r < math.inf):
+            raise ValueError("omega_z and omega_r must be positive and finite")
         if not self.quality_factor > 0.0:
             raise ValueError("Q must be positive")
 
@@ -45,8 +45,8 @@ def z_amplitude(omega_x: float, y_amp: float, params: OscillatorParams) -> float
     Z = (2 omega_r / omega_z^2) * gain * |Omega_x| * Y; at resonance this
     reduces exactly to Z = (2 Q / omega_z) * Omega_x * Y.
     """
-    if y_amp < 0.0:
-        raise ValueError("y_amp must be non-negative")
+    if not 0.0 <= y_amp < math.inf:
+        raise ValueError("y_amp must be non-negative and finite")
     return (2.0 * params.omega_r * transfer_gain(params)
             / params.omega_z ** 2) * abs(omega_x) * y_amp
 
@@ -58,6 +58,6 @@ def rotation_scale_factor(r_cl: float, params: OscillatorParams) -> float:
     disk's mean radius would be 2 r_cl/3; the half-the-outermost rule is
     kept deliberately as the cruder but standard bookkeeping.)
     """
-    if not r_cl > 0.0:
-        raise ValueError("r_cl must be positive")
+    if not 0.0 < r_cl < math.inf:
+        raise ValueError("r_cl must be positive and finite")
     return 0.5 * z_amplitude(1.0, r_cl, params)

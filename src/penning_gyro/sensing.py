@@ -75,15 +75,15 @@ def averaged_sensitivity(single_shot: float, cycle_time: float) -> float:
 
     single_shot * sqrt(cycle_time) == single_shot / sqrt(reps per second).
     """
-    if not cycle_time > 0.0:
-        raise ValueError("cycle_time must be positive")
+    if not 0.0 < cycle_time < math.inf:
+        raise ValueError("cycle_time must be positive and finite")
     return single_shot * math.sqrt(cycle_time)
 
 
 def rotation_sensitivity(amplitude_asd: float, scale_factor: float) -> float:
     """rad/s/sqrt(Hz) from amplitude ASD and m-per-(rad/s) scale factor."""
-    if not scale_factor > 0.0:
-        raise ValueError("scale_factor must be positive")
+    if not 0.0 < scale_factor < math.inf:
+        raise ValueError("scale_factor must be positive and finite")
     return amplitude_asd / scale_factor
 
 

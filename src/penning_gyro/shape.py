@@ -24,7 +24,7 @@ import math
 from dataclasses import astuple, dataclass
 from typing import Sequence
 
-from .core import K_COULOMB, IonSpecies, write_csv
+from .core import K_COULOMB, IonSpecies, NumericalError, write_csv
 from .modes import ModeFrequencies
 
 
@@ -32,7 +32,7 @@ class WallFrequencyError(ValueError):
     """omega_r outside the (omega_m, Omega_m) validity window."""
 
 
-class AspectRatioBracketError(ValueError):
+class AspectRatioBracketError(NumericalError, ValueError):
     """No sign change found when scanning the shape relation residual."""
 
 
@@ -44,8 +44,8 @@ class RotatingWallConfig:
     def __post_init__(self):
         if not (0.0 <= self.delta < 1.0):
             raise ValueError("delta must lie in [0, 1)")
-        if not self.omega_r > 0.0:
-            raise ValueError("omega_r must be positive")
+        if not 0.0 < self.omega_r < math.inf:
+            raise ValueError("omega_r must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,6 @@ def shape_beta(modes: ModeFrequencies, omega_r: float) -> float:
             f"({modes.omega_m:.6g}, {modes.omega_cap_m:.6g}) rad/s")
     wz2 = modes.omega_z ** 2
     return (omega_r * (modes.omega_c - omega_r) - 0.5 * wz2) / wz2
-
-
-def normalized_wall_frequency(modes: ModeFrequencies, omega_r: float) -> float:
-    """omega_z^2 / (2 omega_r (omega_c - omega_r)); equals 1/(2 beta + 1)."""
-    return modes.omega_z ** 2 / (2.0 * omega_r * (modes.omega_c - omega_r))
 
 
 def cold_fluid_residual(alpha: float, beta: float) -> float:
@@ -136,10 +131,10 @@ def coulomb_trap_length(species: IonSpecies, omega_z: float) -> float:
 def spheroid_dimensions(n_ions: float, alpha: float, beta: float,
                         omega_z: float, species: IonSpecies) -> SpheroidGeometry:
     """Equatorial radius, half-height and density of the uniform spheroid."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    if n_ions < 1:
-        raise ValueError("need at least one ion")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
+    if not 1 <= n_ions < math.inf:
+        raise ValueError("n_ions must be finite and at least 1")
     a0 = coulomb_trap_length(species, omega_z)
     r_cl = a0 * (3.0 / (2.0 * beta + 1.0) * n_ions / alpha) ** (1.0 / 3.0)
     z_cl = alpha * r_cl
@@ -195,7 +190,7 @@ def shape_sweep(species: IonSpecies, modes: ModeFrequencies,
         rows.append(ShapeSweepRow(
             omega_r=omega_r,
             omega_r_over_omega_z=omega_r / modes.omega_z,
-            normalized_freq=normalized_wall_frequency(modes, omega_r),
+            normalized_freq=1.0 / (2.0 * beta + 1.0),
             beta=beta, alpha=alpha, r_cl=r_cl, z_cl=z_cl))
     return rows
 

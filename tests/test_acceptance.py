@@ -15,10 +15,9 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.optimize import brentq
 
-from penning_gyro.core import CA40, CONST, RotationInput, TrapConfig, max_stable_voltage
+from penning_gyro.core import CA40, RotationInput, TrapConfig, max_stable_voltage
 from penning_gyro.dynamics import (
     IntegratorConfig,
     ParticleState,
@@ -51,7 +50,6 @@ from penning_gyro.shape import (
     aspect_ratio_from_beta,
     cold_fluid_residual,
     coulomb_trap_length,
-    normalized_wall_frequency,
     oracle_aspect_ratio_depolarization,
     shape_beta,
     spheroid_dimensions,

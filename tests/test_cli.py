@@ -13,7 +13,9 @@ import pytest
 import penning_gyro
 from penning_gyro.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from penning_gyro.config import RunConfig
-from penning_gyro.equilibrium import CoincidentIonsError, RelaxationConfig
+from penning_gyro.dynamics import IntegrationError
+from penning_gyro.equilibrium import CoincidentIonsError, ConvergenceError, RelaxationConfig
+from penning_gyro.shape import AspectRatioBracketError
 
 
 def run(argv, capsys):
@@ -54,7 +56,8 @@ def test_unknown_field_exit_code(capsys):
     assert "unknown field" in err
 
 
-@pytest.mark.parametrize("setting", ["method=rk45", "species=Ca+"])
+@pytest.mark.parametrize("setting", ["method=rk45", "species=Ca+",
+                                     "wall_freq_rad_s=1.2e6"])
 def test_removed_integrator_field_is_unknown(setting, capsys):
     code, _, err = run(["--set", setting, "budget"], capsys)
     assert code == EXIT_CONFIG
@@ -68,7 +71,7 @@ def test_shape_bracket_failure_is_numerical(tmp_path, capsys):
     disc = modes.omega_c ** 2 - 4.0 * (1e-7 + 0.5) * modes.omega_z ** 2
     omega_r = 0.5 * (modes.omega_c - math.sqrt(disc))
     code, _, err = run(["--output-dir", str(tmp_path), "--set",
-                        f"wall_freq_rad_s={omega_r!r}", "budget"], capsys)
+                        f"wall_ratio={omega_r / modes.omega_z!r}", "budget"], capsys)
     assert code == EXIT_NUMERICAL
     assert "no sign change" in err
 
@@ -193,6 +196,21 @@ def test_crystal_coincident_ions_is_numerical(tmp_path, capsys, monkeypatch):
                        capsys)
     assert code == EXIT_NUMERICAL
     assert "coincident ions" in err
+
+
+@pytest.mark.parametrize("error", [
+    IntegrationError("non-finite state"),
+    ConvergenceError("failed to reach the force tolerance", None, None),
+    CoincidentIonsError("coincident ions"),
+    AspectRatioBracketError("no sign change"),
+], ids=lambda error: type(error).__name__)
+def test_numerical_errors_exit_3(error, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr("penning_gyro.cli.aspect_ratio_from_beta", fail)
+    code, _, err = run(["--output-dir", str(tmp_path), "budget"], capsys)
+    assert code == EXIT_NUMERICAL
+    assert str(error) in err
 
 
 def test_output_dir_env_var(tmp_path, capsys, monkeypatch):

@@ -50,12 +50,11 @@ def test_load_config_missing_file():
         load_config("/nonexistent/run.cfg")
 
 
-def test_wall_from_ratio_and_absolute():
+def test_wall_from_ratio():
     cfg = RunConfig()
     modes = cfg.modes()
     assert cfg.wall(modes).omega_r == pytest.approx(modes.omega_z)
-    absolute = RunConfig(wall_freq_rad_s=1.2e6)
-    assert absolute.wall(modes).omega_r == 1.2e6
+    assert RunConfig(wall_ratio=1.2).wall(modes).omega_r == 1.2 * modes.omega_z
 
 
 def test_invalid_trap_becomes_config_error():

@@ -16,7 +16,16 @@ from penning_gyro.core import (
 )
 from penning_gyro.dynamics import IntegratorConfig
 from penning_gyro.equilibrium import RelaxationConfig
-from penning_gyro.sensing import EnsembleSpec, ODFParams
+from penning_gyro.response import OscillatorParams, rotation_scale_factor, z_amplitude
+from penning_gyro.sensing import (
+    EnsembleSpec,
+    ODFParams,
+    averaged_sensitivity,
+    rotation_sensitivity,
+)
+from penning_gyro.shape import RotatingWallConfig, spheroid_dimensions
+
+OSC = OscillatorParams(omega_z=1.55e6, omega_r=1.55e6, quality_factor=1e6)
 
 
 def test_constants_pinned_values():
@@ -40,7 +49,7 @@ def test_species_validation():
         IonSpecies("bad", mass=1e-26, charge=0.0)
 
 
-@pytest.mark.parametrize("build", [
+@pytest.mark.parametrize("build, match", [(build, None) for build in [
     lambda: IonSpecies("bad", mass=1e-26, charge=math.nan),
     lambda: ODFParams(f0=1e-22, tau=0.01, gamma=math.nan),
     lambda: IntegratorConfig(time_step=1e-9, total_time=math.nan),
@@ -57,12 +66,27 @@ def test_species_validation():
     lambda: EnsembleSpec(n_ions=math.inf),
     lambda: IntegratorConfig(time_step=1e-9, total_time=math.inf),
     lambda: RelaxationConfig(force_tolerance=math.inf),
+    lambda: OscillatorParams(omega_z=math.inf, omega_r=1.55e6, quality_factor=1e6),
+    lambda: OscillatorParams(omega_z=1.55e6, omega_r=math.inf, quality_factor=1e6),
+    lambda: RotatingWallConfig(omega_r=math.inf, delta=0.01),
+    lambda: averaged_sensitivity(1e-12, math.inf),
+    lambda: rotation_sensitivity(1e-12, math.inf),
+    lambda: z_amplitude(1.0, math.nan, OSC),
+    lambda: rotation_scale_factor(math.inf, OSC),
+]] + [
+    # the message must name the bad input, not the spheroid's r_cl > z_cl > 0
+    (lambda: spheroid_dimensions(1000, math.nan, 0.05, 1.55e6, CA40), "alpha"),
+    (lambda: spheroid_dimensions(math.nan, 0.07, 0.05, 1.55e6, CA40), "n_ions"),
 ], ids=["species_charge", "odf_gamma", "integrator_total_time", "ensemble_n_ions",
         "trap_b_field_inf", "trap_voltage_inf", "trap_z0_inf", "species_mass_inf",
         "odf_f0_inf", "odf_tau_inf", "odf_gamma_inf", "ensemble_n_ions_inf",
-        "integrator_total_time_inf", "relaxation_force_tolerance_inf"])
-def test_nan_inputs_rejected(build):
-    with pytest.raises(ValueError):
+        "integrator_total_time_inf", "relaxation_force_tolerance_inf",
+        "oscillator_omega_z_inf", "oscillator_omega_r_inf", "wall_omega_r_inf",
+        "averaged_sensitivity_cycle_time_inf", "rotation_sensitivity_scale_factor_inf",
+        "z_amplitude_y_amp_nan", "rotation_scale_factor_r_cl_inf",
+        "spheroid_alpha_nan", "spheroid_n_ions_nan"])
+def test_nan_inputs_rejected(build, match):
+    with pytest.raises(ValueError, match=match):
         build()
 
 

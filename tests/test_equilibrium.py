@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from penning_gyro.core import CA40, K_COULOMB
+from penning_gyro.core import K_COULOMB
 from penning_gyro.equilibrium import (
     CoincidentIonsError,
     ConvergenceError,

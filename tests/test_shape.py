@@ -14,7 +14,6 @@ from penning_gyro.shape import (
     axial_depolarization,
     cold_fluid_residual,
     coulomb_trap_length,
-    normalized_wall_frequency,
     oracle_aspect_ratio_depolarization,
     planarity_check,
     shape_beta,
@@ -41,8 +40,10 @@ def test_normalized_frequency_identity(modes100):
         omega_r = modes100.omega_m + frac * (modes100.omega_cap_m
                                              - modes100.omega_m)
         beta = shape_beta(modes100, omega_r)
-        nu = normalized_wall_frequency(modes100, omega_r)
+        nu = modes100.omega_z ** 2 / (2.0 * omega_r * (modes100.omega_c - omega_r))
         assert nu == pytest.approx(1.0 / (2.0 * beta + 1.0), rel=1e-12)
+        [row] = shape_sweep(CA40, modes100, [omega_r])
+        assert row.normalized_freq == pytest.approx(nu, rel=1e-12)
 
 
 def test_wall_config_validation():

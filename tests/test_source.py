@@ -1,11 +1,15 @@
 import ast
+import importlib
+import inspect
 import math
 from pathlib import Path
 
 import penning_gyro
+from penning_gyro.core import NumericalError
 
 SOURCES = sorted(p for p in Path(penning_gyro.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")  # __init__ imports to re-export
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -23,9 +27,11 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
 
 def test_no_unused_imports():
-    assert len(SOURCES) >= 10  # the glob found the package
-    unused = {path.name: _unused_imports(ast.parse(path.read_text()))
-              for path in SOURCES}
+    paths = [*SOURCES, *sorted((ROOT / "tests").glob("*.py")),
+             *sorted((ROOT / "scripts").glob("*.py"))]
+    assert len(paths) >= 22  # the globs found the package, tests and scripts
+    unused = {f"{path.parent.name}/{path.name}": _unused_imports(ast.parse(path.read_text()))
+              for path in paths}
     assert {name: names for name, names in unused.items() if names} == {}
 
 
@@ -58,7 +64,6 @@ def test_scipy_is_imported_only_inside_functions():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "tests", "scripts", "perfbench")
 
 
@@ -109,7 +114,8 @@ def test_every_default_is_passed_by_some_caller():
 
 # public functions that only tests call, as references for the chain's checks
 TEST_REFERENCES = {"acceleration", "axial_depolarization", "driven_amplitude",
-                   "max_stable_voltage", "population_snr", "ramsey_population"}
+                   "lab_frame_energy", "max_stable_voltage", "population_snr",
+                   "ramsey_population"}
 
 
 def _referenced_names(tree: ast.Module) -> set[str]:
@@ -122,7 +128,7 @@ def test_every_public_function_runs_outside_the_tests():
     (outside __init__), scripts/ or perfbench/, or is a test reference.
 
     It matches by name, not by binding: a function that shares its name
-    with another use, such as ``energy``, escapes it.
+    with another use escapes it.
     """
     referenced = set()
     for directory in ("src", "scripts", "perfbench"):
@@ -135,3 +141,16 @@ def test_every_public_function_runs_outside_the_tests():
     assert len(public) > 40  # the walk found the package
     assert sorted(public - referenced - TEST_REFERENCES) == []
     assert TEST_REFERENCES <= public - referenced  # no stale entry
+
+
+def test_every_error_is_numerical_or_a_value_error():
+    # the CLI exits 3 on a NumericalError and 2 on a ValueError, so every
+    # exception type of the package must be one of the two
+    errors = []
+    for path in SOURCES:
+        module = importlib.import_module(f"penning_gyro.{path.stem}")
+        errors += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                   if issubclass(cls, BaseException) and cls.__module__ == module.__name__]
+    assert len(errors) >= 7  # the walk found the package's exceptions
+    assert [cls.__name__ for cls in errors
+            if not issubclass(cls, (NumericalError, ValueError))] == []
