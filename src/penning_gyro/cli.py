@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure:
 a ``core.NumericalError`` or an ``ArithmeticError``.
-Every subcommand honors --config/--set, --output-dir (or the
-PENNING_GYRO_OUTPUT_DIR environment variable) and --json.  --seed seeds
-the initial patch of ``crystal``, the one subcommand that draws random
-numbers; the others ignore it.
+Every subcommand honors --config, --set, --output-dir and --json.  Each
+--set takes one config-file line (``key=value``), read after --config;
+later lines win.  ``--set seed=N`` seeds the initial patch of ``crystal``
+(the one subcommand that draws random numbers) and ``--set n_crystal=N``
+sizes it.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .core import CONST, NumericalError, validate_stability, write_csv
 from .equilibrium import (
     ConvergenceError,
@@ -43,15 +44,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "response, and the readout sensitivity budget.")
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        dest="overrides", help="override one config field")
-    parser.add_argument("--output-dir", default=None,
-                        help="where files are written (default: "
-                             "$PENNING_GYRO_OUTPUT_DIR or the cwd)")
+                        dest="overrides",
+                        help="one more config line, read after --config")
+    parser.add_argument("--output-dir", default=".",
+                        help="where files are written (default: the cwd)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output on stdout")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed of the crystal's initial patch "
-                             "(crystal only; overrides the config seed)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("constants", help="print the pinned physical constants")
@@ -64,28 +62,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("budget", help="full sensitivity budget (budget.json)")
 
-    p = sub.add_parser("crystal", help="relax the ion crystal and report its shape")
-    p.add_argument("--ions", type=int, default=None,
-                   help="override the crystal ion count")
+    sub.add_parser("crystal", help="relax the ion crystal and report its shape")
     return parser
 
 
-def _resolve_config(args) -> RunConfig:
-    overrides = {}
-    for item in args.overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return load_config(args.config, overrides)
-
-
 def _outdir(args) -> str:
-    outdir = args.output_dir or os.environ.get("PENNING_GYRO_OUTPUT_DIR") or "."
-    os.makedirs(outdir, exist_ok=True)
-    return outdir
+    os.makedirs(args.output_dir, exist_ok=True)
+    return args.output_dir
 
 
 def _cmd_constants(args, config: RunConfig) -> int:
@@ -190,11 +173,10 @@ def _cmd_crystal(args, config: RunConfig) -> int:
     species, trap = config.ion(), config.trap()
     modes = compute_modes(species, trap)
     wall = config.wall(modes)
-    n_ions = args.ions if args.ions is not None else config.n_crystal
     relax_cfg = RelaxationConfig(initial_seed=config.seed)
     outdir = _outdir(args)
     try:
-        crystal, report = relax(n_ions, species, modes, wall, relax_cfg)
+        crystal, report = relax(config.n_crystal, species, modes, wall, relax_cfg)
     except ConvergenceError as exc:
         _write_crystal(outdir, exc.best_config, exc.report.as_dict())
         print(f"error: {exc}", file=sys.stderr)
@@ -204,7 +186,7 @@ def _cmd_crystal(args, config: RunConfig) -> int:
     if args.json:
         print(text, end="")
     else:
-        print(f"relaxed {n_ions} ions: spacing median "
+        print(f"relaxed {config.n_crystal} ions: spacing median "
               f"{stats.spacing_median * 1e6:.2f} um, alpha_md {stats.alpha_md:.3f}, "
               f"residual force {report.max_force:.3g} N")
         print(f"wrote {os.path.join(outdir, 'crystal.csv')}")
@@ -224,7 +206,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _resolve_config(args)
+        config = load_config(args.config, args.overrides)
         return _HANDLERS[args.command](args, config)
     except (NumericalError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,14 +1,16 @@
 """Flat key=value run configuration shared by every CLI subcommand.
 
 The file format is intentionally plain: one ``key = value`` per line,
-``#`` comments, everything else rejected.  CLI ``--set key=value`` flags
-override file values which override the built-in defaults (the 1 T /
-100 V / z0 = 1 cm Ca+ operating point with the wall locked to the axial
+``#`` comments, everything else rejected.  Each CLI ``--set`` flag is one
+more such line, read after the file; a later line wins over an earlier
+one, and every line wins over the built-in defaults (the 1 T / 100 V /
+z0 = 1 cm Ca+ operating point with the wall locked to the axial
 frequency).
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 from .core import CA40, IonSpecies, TrapConfig
@@ -41,22 +43,15 @@ class RunConfig:
         return CA40
 
     def trap(self) -> TrapConfig:
-        try:
-            return TrapConfig(b_field=self.b_field_t,
-                              trap_voltage=self.trap_voltage_v,
-                              char_length_z0=self.char_length_m)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return TrapConfig(b_field=self.b_field_t, trap_voltage=self.trap_voltage_v,
+                          char_length_z0=self.char_length_m)
 
     def modes(self) -> ModeFrequencies:
         return compute_modes(self.ion(), self.trap())
 
     def wall(self, modes: ModeFrequencies) -> RotatingWallConfig:
-        try:
-            return RotatingWallConfig(omega_r=self.wall_ratio * modes.omega_z,
-                                      delta=self.wall_delta)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return RotatingWallConfig(omega_r=self.wall_ratio * modes.omega_z,
+                                  delta=self.wall_delta)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -92,7 +87,8 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
+def load_config(path: str | None, overrides: Sequence[str] = ()) -> RunConfig:
+    """Defaults, then the file, then one config line per override; later lines win."""
     values: dict = {}
     if path is not None:
         try:
@@ -100,8 +96,5 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
                 values.update(parse_config_text(fh.read()))
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-    for key, raw in (overrides or {}).items():
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown field {key!r}")
-        values[key] = _coerce(key, raw) if isinstance(raw, str) else raw
+    values.update(parse_config_text("\n".join(overrides)))
     return RunConfig(**values)

@@ -45,6 +45,8 @@ def z_amplitude(omega_x: float, y_amp: float, params: OscillatorParams) -> float
     Z = (2 omega_r / omega_z^2) * gain * |Omega_x| * Y; at resonance this
     reduces exactly to Z = (2 Q / omega_z) * Omega_x * Y.
     """
+    if not -math.inf < omega_x < math.inf:
+        raise ValueError("omega_x must be finite")
     if not 0.0 <= y_amp < math.inf:
         raise ValueError("y_amp must be non-negative and finite")
     return (2.0 * params.omega_r * transfer_gain(params)

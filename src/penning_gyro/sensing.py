@@ -44,11 +44,15 @@ class EnsembleSpec:
 
 def precession_angle(odf: ODFParams, zc: float) -> float:
     """theta = (F0/hbar) Z_c tau, rad."""
+    if not -math.inf < zc < math.inf:
+        raise ValueError("zc must be finite")
     return (odf.f0 / CONST.reduced_planck) * zc * odf.tau
 
 
 def ramsey_population(theta: float, gamma: float, tau: float) -> float:
     """Bright-state population (1 - exp(-Gamma tau) cos(theta)) / 2."""
+    if not -math.inf < theta < math.inf:
+        raise ValueError("theta must be finite")
     return 0.5 * (1.0 - math.exp(-gamma * tau) * math.cos(theta))
 
 
@@ -89,6 +93,8 @@ def rotation_sensitivity(amplitude_asd: float, scale_factor: float) -> float:
 
 def angle_random_walk(rotation_asd: float) -> float:
     """ARW in rad/sqrt(h); exactly rotation ASD times 60."""
+    if not 0.0 <= rotation_asd < math.inf:
+        raise ValueError("rotation_asd must be non-negative and finite")
     return rotation_asd * SECONDS_PER_SQRT_HOUR
 
 

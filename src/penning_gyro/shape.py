@@ -147,20 +147,11 @@ PLANARITY_THRESHOLD = 0.1  # "much less than 1" pinned to a usable number
 
 @dataclass(frozen=True)
 class PlanarityReport:
-    planar: bool               # beta < threshold
-    wall_dominated: bool       # beta > delta
-    passes: bool
-    planar_margin: float       # threshold - beta
-    wall_margin: float         # beta - delta
+    passes: bool               # delta < beta < threshold
 
 
 def planarity_check(beta: float, delta: float) -> PlanarityReport:
-    planar = beta < PLANARITY_THRESHOLD
-    wall = beta > delta
-    return PlanarityReport(planar=planar, wall_dominated=wall,
-                           passes=planar and wall,
-                           planar_margin=PLANARITY_THRESHOLD - beta,
-                           wall_margin=beta - delta)
+    return PlanarityReport(delta < beta < PLANARITY_THRESHOLD)
 
 
 @dataclass(frozen=True)

@@ -48,12 +48,25 @@ def test_unstable_trap_exit_code(capsys):
     code, _, err = run(["--set", "trap_voltage_v=130", "modes"], capsys)
     assert code == EXIT_CONFIG
     assert "unstable" in err
+    # an invalid trap is a configuration error too, and names its field
+    code, _, err = run(["--set", "b_field_t=-1", "modes"], capsys)
+    assert code == EXIT_CONFIG
+    assert "b_field" in err
 
 
 def test_unknown_field_exit_code(capsys):
     code, _, err = run(["--set", "bogus=1", "modes"], capsys)
     assert code == EXIT_CONFIG
     assert "unknown field" in err
+
+
+@pytest.mark.parametrize("argv", [["--seed", "1", "modes"], ["crystal", "--ions", "5"]],
+                         ids=["seed", "ions"])
+def test_removed_flags_are_usage_errors(argv, tmp_path):
+    # --set seed=N and --set n_crystal=N are the one way to set these
+    with pytest.raises(SystemExit) as exc:
+        main(["--output-dir", str(tmp_path), *argv])
+    assert exc.value.code == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("setting", ["method=rk45", "species=Ca+",
@@ -163,8 +176,8 @@ def test_budget_writes_json(tmp_path, capsys):
 
 
 def test_crystal_small(tmp_path, capsys):
-    code, out, _ = run(["--output-dir", str(tmp_path), "--seed", "1",
-                        "crystal", "--ions", "12"], capsys)
+    code, out, _ = run(["--output-dir", str(tmp_path), "--set", "seed=1",
+                        "--set", "n_crystal=12", "crystal"], capsys)
     assert code == EXIT_OK
     lines = (tmp_path / "crystal.csv").read_text().splitlines()
     assert lines[0] == "ion_index,x_m,y_m,z_m"
@@ -177,8 +190,8 @@ def test_crystal_non_convergence_writes_outputs(tmp_path, capsys, monkeypatch):
     # a force floor no descent reaches takes the ConvergenceError branch
     monkeypatch.setattr("penning_gyro.cli.RelaxationConfig",
                         functools.partial(RelaxationConfig, force_tolerance=1e-30))
-    code, _, err = run(["--output-dir", str(tmp_path), "crystal", "--ions", "5"],
-                       capsys)
+    code, _, err = run(["--output-dir", str(tmp_path), "--set", "n_crystal=5",
+                        "crystal"], capsys)
     assert code == EXIT_NUMERICAL
     assert "failed to reach" in err
     lines = (tmp_path / "crystal.csv").read_text().splitlines()
@@ -192,8 +205,8 @@ def test_crystal_coincident_ions_is_numerical(tmp_path, capsys, monkeypatch):
     def coincide(*args, **kwargs):
         raise CoincidentIonsError("coincident ions")
     monkeypatch.setattr("penning_gyro.cli.relax", coincide)
-    code, _, err = run(["--output-dir", str(tmp_path), "crystal", "--ions", "5"],
-                       capsys)
+    code, _, err = run(["--output-dir", str(tmp_path), "--set", "n_crystal=5",
+                        "crystal"], capsys)
     assert code == EXIT_NUMERICAL
     assert "coincident ions" in err
 
@@ -211,13 +224,6 @@ def test_numerical_errors_exit_3(error, tmp_path, capsys, monkeypatch):
     code, _, err = run(["--output-dir", str(tmp_path), "budget"], capsys)
     assert code == EXIT_NUMERICAL
     assert str(error) in err
-
-
-def test_output_dir_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PENNING_GYRO_OUTPUT_DIR", str(tmp_path / "envout"))
-    code, _, _ = run(["fig", "3"], capsys)
-    assert code == EXIT_OK
-    assert (tmp_path / "envout" / "fig3_freq_difference.csv").exists()
 
 
 def test_config_file_round_trip(tmp_path, capsys):

@@ -40,9 +40,11 @@ def test_parse_missing_equals():
 def test_load_config_override_precedence(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("trap_voltage_v = 10\nseed = 3\n")
-    cfg = load_config(str(path), {"trap_voltage_v": "50"})
+    cfg = load_config(str(path), ["trap_voltage_v=50"])
     assert cfg.trap_voltage_v == 50.0
     assert cfg.seed == 3
+    # each override is one more config line: later lines win
+    assert load_config(None, ["seed = 4", "seed=5"]).seed == 5
 
 
 def test_load_config_missing_file():
@@ -58,5 +60,6 @@ def test_wall_from_ratio():
 
 
 def test_invalid_trap_becomes_config_error():
-    with pytest.raises(ConfigError):
+    # a ValueError naming the field, which the CLI reports with exit 2
+    with pytest.raises(ValueError, match="b_field"):
         RunConfig(b_field_t=-1.0).trap()

@@ -20,7 +20,10 @@ from penning_gyro.response import OscillatorParams, rotation_scale_factor, z_amp
 from penning_gyro.sensing import (
     EnsembleSpec,
     ODFParams,
+    angle_random_walk,
     averaged_sensitivity,
+    precession_angle,
+    ramsey_population,
     rotation_sensitivity,
 )
 from penning_gyro.shape import RotatingWallConfig, spheroid_dimensions
@@ -77,6 +80,12 @@ def test_species_validation():
     # the message must name the bad input, not the spheroid's r_cl > z_cl > 0
     (lambda: spheroid_dimensions(1000, math.nan, 0.05, 1.55e6, CA40), "alpha"),
     (lambda: spheroid_dimensions(math.nan, 0.07, 0.05, 1.55e6, CA40), "n_ions"),
+    # raw-float inputs of the response and readout chain
+    (lambda: z_amplitude(math.inf, 1e-4, OSC), "omega_x"),
+    (lambda: z_amplitude(math.nan, 1e-4, OSC), "omega_x"),
+    (lambda: precession_angle(ODFParams(f0=1e-22, tau=0.01, gamma=100.0), math.inf), "zc"),
+    (lambda: ramsey_population(math.nan, 100.0, 0.01), "theta"),
+    (lambda: angle_random_walk(math.nan), "rotation_asd"),
 ], ids=["species_charge", "odf_gamma", "integrator_total_time", "ensemble_n_ions",
         "trap_b_field_inf", "trap_voltage_inf", "trap_z0_inf", "species_mass_inf",
         "odf_f0_inf", "odf_tau_inf", "odf_gamma_inf", "ensemble_n_ions_inf",
@@ -84,7 +93,9 @@ def test_species_validation():
         "oscillator_omega_z_inf", "oscillator_omega_r_inf", "wall_omega_r_inf",
         "averaged_sensitivity_cycle_time_inf", "rotation_sensitivity_scale_factor_inf",
         "z_amplitude_y_amp_nan", "rotation_scale_factor_r_cl_inf",
-        "spheroid_alpha_nan", "spheroid_n_ions_nan"])
+        "spheroid_alpha_nan", "spheroid_n_ions_nan", "z_amplitude_omega_x_inf",
+        "z_amplitude_omega_x_nan", "precession_angle_zc_inf", "ramsey_population_theta_nan",
+        "angle_random_walk_rotation_asd_nan"])
 def test_nan_inputs_rejected(build, match):
     with pytest.raises(ValueError, match=match):
         build()

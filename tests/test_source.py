@@ -154,3 +154,19 @@ def test_every_error_is_numerical_or_a_value_error():
     assert len(errors) >= 7  # the walk found the package's exceptions
     assert [cls.__name__ for cls in errors
             if not issubclass(cls, (NumericalError, ValueError))] == []
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_package_reads_no_environment_variable():
+    # every run value comes from RunConfig or a CLI flag: a variable read
+    # here would be a second, invisible way to set it
+    sources = sorted(Path(penning_gyro.__file__).parent.glob("*.py"))
+    assert len(sources) >= 11
+    found = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS)
+             or (isinstance(node, ast.Name) and node.id in ENVIRONMENT_READERS)
+             or (isinstance(node, ast.alias) and node.name in ENVIRONMENT_READERS)]
+    assert found == []
