@@ -110,24 +110,36 @@ def _curvatures(modes: ModeFrequencies, wall: RotatingWallConfig):
     return beta + wall.delta, beta - wall.delta, beta
 
 
-def _scaled_energy_gradient(u: np.ndarray, kx: float, ky: float):
-    """Energy and gradient in trap units; u is (N, 3)."""
+def _energy_gradient_kernel(n: int):
+    """Energy and gradient in trap units of n ions: energy_gradient(u, kx, ky).
+
+    The two pair-sized buffers are allocated here once and overwritten by
+    every call; the returned gradient is a fresh array on each call.
+    """
     from scipy.spatial.distance import pdist, squareform
 
-    conf = 0.5 * (kx * np.sum(u[:, 0] ** 2) + ky * np.sum(u[:, 1] ** 2)
-                  + np.sum(u[:, 2] ** 2))
-    grad = np.empty_like(u)
-    grad[:, 0] = kx * u[:, 0]
-    grad[:, 1] = ky * u[:, 1]
-    grad[:, 2] = u[:, 2]
-    # Coulomb terms once per pair i < j; NaN distances fail the guard too
-    dist = pdist(u)
-    if not np.all(dist > 0.0):
-        raise CoincidentIonsError("coincident ions")
-    inv = 1.0 / dist
-    w = squareform(inv * inv * inv)  # W_ij = 1/d_ij^3, zero diagonal
-    grad -= u * w.sum(axis=1)[:, None] - w @ u
-    return conf + np.sum(inv), grad
+    inv = np.empty(n * (n - 1) // 2)   # 1/d_ij once per pair i < j
+    cube = np.empty_like(inv)          # 1/d_ij^3
+
+    def energy_gradient(u: np.ndarray, kx: float, ky: float):
+        conf = 0.5 * (kx * np.sum(u[:, 0] ** 2) + ky * np.sum(u[:, 1] ** 2)
+                      + np.sum(u[:, 2] ** 2))
+        grad = np.empty_like(u)
+        grad[:, 0] = kx * u[:, 0]
+        grad[:, 1] = ky * u[:, 1]
+        grad[:, 2] = u[:, 2]
+        # NaN distances fail the guard too
+        pdist(u, out=inv)
+        if not np.all(inv > 0.0):
+            raise CoincidentIonsError("coincident ions")
+        np.divide(1.0, inv, out=inv)
+        np.multiply(inv, inv, out=cube)
+        np.multiply(cube, inv, out=cube)
+        w = squareform(cube)  # W_ij = 1/d_ij^3, zero diagonal
+        grad -= u * w.sum(axis=1)[:, None] - w @ u
+        return conf + np.sum(inv), grad
+
+    return energy_gradient
 
 
 def rotating_frame_potential(config: IonConfiguration, species: IonSpecies,
@@ -136,7 +148,8 @@ def rotating_frame_potential(config: IonConfiguration, species: IonSpecies,
     """Total time-independent potential energy, J."""
     a0, e_scale, _ = _scales(species, modes)
     kx, ky, _ = _curvatures(modes, wall)
-    value, _ = _scaled_energy_gradient(config.positions / a0, kx, ky)
+    energy_gradient = _energy_gradient_kernel(config.ion_count)
+    value, _ = energy_gradient(config.positions / a0, kx, ky)
     return value * e_scale
 
 
@@ -145,7 +158,8 @@ def forces(config: IonConfiguration, species: IonSpecies,
     """Analytic negative gradient of the potential, (N, 3) newtons."""
     a0, _, f_scale = _scales(species, modes)
     kx, ky, _ = _curvatures(modes, wall)
-    _, grad = _scaled_energy_gradient(config.positions / a0, kx, ky)
+    energy_gradient = _energy_gradient_kernel(config.ion_count)
+    _, grad = energy_gradient(config.positions / a0, kx, ky)
     return -grad * f_scale
 
 
@@ -203,8 +217,10 @@ def relax(n_ions: int, species: IonSpecies, modes: ModeFrequencies,
                                   species).r_cl / a0
     u = _hex_patch(n_ions, r_guess, np.random.default_rng(cfg.initial_seed))
 
+    energy_gradient = _energy_gradient_kernel(n_ions)
+
     def fun(x):
-        value, grad = _scaled_energy_gradient(x.reshape(n_ions, 3), kx, ky)
+        value, grad = energy_gradient(x.reshape(n_ions, 3), kx, ky)
         return value, grad.reshape(-1)
 
     # gtol = tol/10 makes L-BFGS stop with the largest gradient component

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from penning_gyro.equilibrium import (
     ConvergenceError,
     IonConfiguration,
     RelaxationConfig,
-    _scaled_energy_gradient,
+    _energy_gradient_kernel,
     forces,
     measured_shape,
     relax,
@@ -128,7 +129,53 @@ def test_coulomb_forces_obey_newtons_third_law(ca40, modes100, wall100):
 def test_energy_gradient_rejects_coincident_or_nan_ions(bad_row):
     u = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 1.0], bad_row])
     with pytest.raises(CoincidentIonsError):
-        _scaled_energy_gradient(u, 0.05, 0.03)
+        _energy_gradient_kernel(3)(u, 0.05, 0.03)
+
+
+def _bytes(result):
+    energy, grad = result
+    return np.float64(energy).tobytes() + grad.tobytes()
+
+
+def test_kernel_reuses_buffers_without_touching_earlier_results():
+    rng = np.random.default_rng(17)
+    u1, u2 = rng.normal(scale=5.0, size=(2, 40, 3))
+    kernel = _energy_gradient_kernel(40)
+    first = kernel(u1, 0.05, 0.03)
+    first_bytes = _bytes(first)
+    second = kernel(u2, 0.05, 0.03)
+    # the second call overwrites the pair buffers, not the first result
+    assert _bytes(first) == first_bytes
+    assert first_bytes == _bytes(_energy_gradient_kernel(40)(u1, 0.05, 0.03))
+    assert _bytes(second) == _bytes(_energy_gradient_kernel(40)(u2, 0.05, 0.03))
+
+
+def test_kernel_recovers_after_coincident_ions():
+    rng = np.random.default_rng(19)
+    u = rng.normal(scale=5.0, size=(10, 3))
+    bad = u.copy()
+    bad[3] = bad[7]
+    kernel = _energy_gradient_kernel(10)
+    with pytest.raises(CoincidentIonsError):
+        kernel(bad, 0.05, 0.03)
+    assert _bytes(kernel(u, 0.05, 0.03)) == _bytes(
+        _energy_gradient_kernel(10)(u, 0.05, 0.03))
+
+
+def test_kernel_call_allocates_one_pair_matrix():
+    # the N x N weight matrix is the only pair-sized array a call allocates;
+    # a fresh 1/d or 1/d^3 temporary would add another N^2/2 doubles
+    n = 1000
+    u = np.random.default_rng(23).normal(scale=20.0, size=(n, 3))
+    kernel = _energy_gradient_kernel(n)
+    kernel(u, 0.05, 0.03)
+    tracemalloc.start()
+    try:
+        kernel(u, 0.05, 0.03)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * n * n * 8
 
 
 def test_configuration_coincident_ions_are_numerical():
