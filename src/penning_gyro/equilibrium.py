@@ -136,7 +136,10 @@ def _energy_gradient_kernel(n: int):
         np.multiply(inv, inv, out=cube)
         np.multiply(cube, inv, out=cube)
         w = squareform(cube)  # W_ij = 1/d_ij^3, zero diagonal
-        grad -= u * w.sum(axis=1)[:, None] - w @ u
+        # one matrix-vector product per axis: BLAS rounds these the same way
+        # at any thread count, where a (N,N)x(N,3) product does not
+        wu = np.column_stack([w @ u[:, k] for k in range(3)])
+        grad -= u * w.sum(axis=1)[:, None] - wu
         return conf + np.sum(inv), grad
 
     return energy_gradient

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import penning_gyro
 from penning_gyro.core import K_COULOMB
 from penning_gyro.equilibrium import (
     CoincidentIonsError,
@@ -177,6 +183,30 @@ def test_kernel_call_allocates_one_pair_matrix():
         tracemalloc.stop()
     assert peak <= 1.1 * n * n * 8
 
+
+def test_kernel_output_is_independent_of_blas_threads():
+    # a multithreaded BLAS may split a sum differently per thread count,
+    # which would make the relaxed crystal depend on the machine's cores
+    script = textwrap.dedent("""
+        import hashlib
+        import numpy as np
+        from penning_gyro.equilibrium import _energy_gradient_kernel
+
+        digest = hashlib.sha256()
+        for n in (1000, 3000):
+            u = np.random.default_rng(n).normal(scale=n ** (1 / 3), size=(n, 3))
+            energy, grad = _energy_gradient_kernel(n)(u, 0.05, 0.03)
+            digest.update(np.float64(energy).tobytes() + grad.tobytes())
+        print(digest.hexdigest())
+    """)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(penning_gyro.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
 
 def test_configuration_coincident_ions_are_numerical():
     with pytest.raises(CoincidentIonsError):
