@@ -53,11 +53,17 @@ def ramsey_population(theta: float, gamma: float, tau: float) -> float:
     """Bright-state population (1 - exp(-Gamma tau) cos(theta)) / 2."""
     if not -math.inf < theta < math.inf:
         raise ValueError("theta must be finite")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError("gamma must be non-negative and finite")
     return 0.5 * (1.0 - math.exp(-gamma * tau) * math.cos(theta))
 
 
 def population_difference(theta_max: float, gamma: float, tau: float) -> float:
     """Background-free signal from the delta=0 / delta=pi measurement pair."""
+    if not -math.inf < theta_max < math.inf:
+        raise ValueError("theta_max must be finite")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError("gamma must be non-negative and finite")
     return math.exp(-gamma * tau) * math.sin(theta_max)
 
 
@@ -79,6 +85,8 @@ def averaged_sensitivity(single_shot: float, cycle_time: float) -> float:
 
     single_shot * sqrt(cycle_time) == single_shot / sqrt(reps per second).
     """
+    if not 0.0 <= single_shot < math.inf:
+        raise ValueError("single_shot must be non-negative and finite")
     if not 0.0 < cycle_time < math.inf:
         raise ValueError("cycle_time must be positive and finite")
     return single_shot * math.sqrt(cycle_time)
@@ -86,6 +94,8 @@ def averaged_sensitivity(single_shot: float, cycle_time: float) -> float:
 
 def rotation_sensitivity(amplitude_asd: float, scale_factor: float) -> float:
     """rad/s/sqrt(Hz) from amplitude ASD and m-per-(rad/s) scale factor."""
+    if not 0.0 <= amplitude_asd < math.inf:
+        raise ValueError("amplitude_asd must be non-negative and finite")
     if not 0.0 < scale_factor < math.inf:
         raise ValueError("scale_factor must be positive and finite")
     return amplitude_asd / scale_factor

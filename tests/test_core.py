@@ -22,6 +22,7 @@ from penning_gyro.sensing import (
     ODFParams,
     angle_random_walk,
     averaged_sensitivity,
+    population_difference,
     precession_angle,
     ramsey_population,
     rotation_sensitivity,
@@ -86,6 +87,11 @@ def test_species_validation():
     (lambda: precession_angle(ODFParams(f0=1e-22, tau=0.01, gamma=100.0), math.inf), "zc"),
     (lambda: ramsey_population(math.nan, 100.0, 0.01), "theta"),
     (lambda: angle_random_walk(math.nan), "rotation_asd"),
+    (lambda: population_difference(math.nan, 100.0, 0.01), "theta_max"),
+    (lambda: population_difference(0.1, math.nan, 0.01), "gamma"),
+    (lambda: ramsey_population(0.1, math.nan, 0.01), "gamma"),
+    (lambda: rotation_sensitivity(math.nan, 1e-3), "amplitude_asd"),
+    (lambda: averaged_sensitivity(math.inf, 0.05), "single_shot"),
 ], ids=["species_charge", "odf_gamma", "integrator_total_time", "ensemble_n_ions",
         "trap_b_field_inf", "trap_voltage_inf", "trap_z0_inf", "species_mass_inf",
         "odf_f0_inf", "odf_tau_inf", "odf_gamma_inf", "ensemble_n_ions_inf",
@@ -95,7 +101,9 @@ def test_species_validation():
         "z_amplitude_y_amp_nan", "rotation_scale_factor_r_cl_inf",
         "spheroid_alpha_nan", "spheroid_n_ions_nan", "z_amplitude_omega_x_inf",
         "z_amplitude_omega_x_nan", "precession_angle_zc_inf", "ramsey_population_theta_nan",
-        "angle_random_walk_rotation_asd_nan"])
+        "angle_random_walk_rotation_asd_nan", "population_difference_theta_max_nan",
+        "population_difference_gamma_nan", "ramsey_population_gamma_nan",
+        "rotation_sensitivity_amplitude_asd_nan", "averaged_sensitivity_single_shot_inf"])
 def test_nan_inputs_rejected(build, match):
     with pytest.raises(ValueError, match=match):
         build()
