@@ -208,6 +208,7 @@ def test_kernel_output_is_independent_of_blas_threads():
         digests.append(out.stdout.strip())
     assert digests[0] == digests[1]
 
+
 def test_configuration_coincident_ions_are_numerical():
     with pytest.raises(CoincidentIonsError):
         IonConfiguration(np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]))
