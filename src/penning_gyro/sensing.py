@@ -53,8 +53,8 @@ def ramsey_population(theta: float, gamma: float, tau: float) -> float:
     """Bright-state population (1 - exp(-Gamma tau) cos(theta)) / 2."""
     if not -math.inf < theta < math.inf:
         raise ValueError("theta must be finite")
-    if not 0.0 <= gamma < math.inf:
-        raise ValueError("gamma must be non-negative and finite")
+    if not (0.0 <= gamma < math.inf and 0.0 <= tau < math.inf):
+        raise ValueError("gamma and tau must be non-negative and finite")
     return 0.5 * (1.0 - math.exp(-gamma * tau) * math.cos(theta))
 
 
@@ -62,8 +62,8 @@ def population_difference(theta_max: float, gamma: float, tau: float) -> float:
     """Background-free signal from the delta=0 / delta=pi measurement pair."""
     if not -math.inf < theta_max < math.inf:
         raise ValueError("theta_max must be finite")
-    if not 0.0 <= gamma < math.inf:
-        raise ValueError("gamma must be non-negative and finite")
+    if not (0.0 <= gamma < math.inf and 0.0 <= tau < math.inf):
+        raise ValueError("gamma and tau must be non-negative and finite")
     return math.exp(-gamma * tau) * math.sin(theta_max)
 
 

@@ -86,30 +86,85 @@ def axial_depolarization(alpha: float) -> float:
 # the 1001 trial aspect ratios: 1e-3 steps from 1e-6, then 1 - 1e-6
 _ALPHA_GRID = tuple([1e-6 + i * 1e-3 for i in range(1000)] + [1.0 - 1e-6])
 
+# Brent's tolerances and iteration cap
+_XTOL = 1e-15
+_RTOL = 8.9e-16
+_MAXITER = 100
+
+
+class BrentConvergenceError(NumericalError):
+    """Brent's method reached its iteration cap without converging."""
+
+
+def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> float:
+    """Root of f in the bracket (xpre, xcur), given f(xpre) < 0 < f(xcur).
+
+    A port of scipy's brentq.c (Brent 1973; scipy is BSD-3 licensed):
+    the same arithmetic in the same order, so it returns the same bits
+    as ``scipy.optimize.brentq`` with these tolerances.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise BrentConvergenceError(
+        f"Brent's method did not converge in {_MAXITER} iterations (x={xcur!r})")
+
 
 def aspect_ratio_from_beta(beta: float) -> float:
     """Aspect ratio alpha = z_cl/r_cl on the oblate branch: the root of
     ``cold_fluid_residual``.
 
-    Walks the grid to the first cell where the residual changes sign (or
-    is exactly zero) and refines that cell with brentq.
+    The residual rises strictly on the grid, so bisection finds the first
+    grid point where it is >= 0; ``_brentq`` refines the cell that ends
+    there unless the residual is exactly zero at that point.
     """
-    from scipy.optimize import brentq
-
     if not (0.0 < beta < 1.0):
         raise ValueError("oblate branch requires 0 < beta < 1")
-    previous = 0.0  # 0 * value is never < 0: no cell ends at the first point
-    for i, alpha in enumerate(_ALPHA_GRID):
-        value = cold_fluid_residual(alpha, beta)
-        if previous * value < 0.0:
-            return brentq(cold_fluid_residual, _ALPHA_GRID[i - 1], alpha,
-                          args=(beta,), xtol=1e-15, rtol=8.9e-16)
-        if value == 0.0:
-            return alpha
-        previous = value
-    raise AspectRatioBracketError(
-        f"shape relation has no sign change on ({_ALPHA_GRID[0]}, "
-        f"{_ALPHA_GRID[-1]}) for beta={beta:.6g}")
+
+    def residual(alpha):
+        return cold_fluid_residual(alpha, beta)
+
+    lo, hi = -1, len(_ALPHA_GRID)  # residual < 0 up to lo, >= 0 from hi
+    f_lo = f_hi = 0.0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        value = residual(_ALPHA_GRID[mid])
+        if value < 0.0:
+            lo, f_lo = mid, value
+        else:
+            hi, f_hi = mid, value
+    if hi < len(_ALPHA_GRID) and f_hi == 0.0:
+        return _ALPHA_GRID[hi]
+    if lo < 0 or hi == len(_ALPHA_GRID):
+        raise AspectRatioBracketError(
+            f"shape relation has no sign change on ({_ALPHA_GRID[0]}, "
+            f"{_ALPHA_GRID[-1]}) for beta={beta:.6g}")
+    return _brentq(residual, _ALPHA_GRID[lo], _ALPHA_GRID[hi], f_lo, f_hi)
 
 
 def oracle_aspect_ratio_depolarization(beta: float) -> float:

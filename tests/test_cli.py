@@ -249,19 +249,21 @@ def test_scipy_loads_only_on_demand(tmp_path):
         codes = {}
         with contextlib.redirect_stdout(io.StringIO()):
             for argv in (["constants"], ["modes"], ["fig", "1"], ["fig", "2"],
-                         ["fig", "3"]):
+                         ["fig", "3"], ["budget"], ["fig", "4"], ["fig", "5"],
+                         ["fig", "6"]):
                 codes[" ".join(argv)] = main(["--output-dir", sys.argv[1], *argv])
             before = loaded()
-            codes["budget"] = main(["--output-dir", sys.argv[1], "budget"])
+            codes["crystal"] = main(["--output-dir", sys.argv[1],
+                                     "--set", "n_crystal=20", "crystal"])
         print(json.dumps({"codes": codes, "before": before, "after": loaded()}))
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(penning_gyro.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     result = json.loads(out.stdout.splitlines()[-1])
-    assert result["codes"] == {"constants": EXIT_OK, "modes": EXIT_OK,
-                               "fig 1": EXIT_OK, "fig 2": EXIT_OK,
-                               "fig 3": EXIT_OK, "budget": EXIT_OK}
+    assert result["codes"] == {name: EXIT_OK for name in (
+        "constants", "modes", "fig 1", "fig 2", "fig 3", "budget", "fig 4",
+        "fig 5", "fig 6", "crystal")}
     assert result["before"] == []
-    assert "scipy.optimize" in result["after"]
+    assert {"scipy.optimize", "scipy.spatial"} <= set(result["after"])
     assert (tmp_path / "budget.json").is_file()

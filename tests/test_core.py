@@ -92,6 +92,9 @@ def test_species_validation():
     (lambda: ramsey_population(0.1, math.nan, 0.01), "gamma"),
     (lambda: rotation_sensitivity(math.nan, 1e-3), "amplitude_asd"),
     (lambda: averaged_sensitivity(math.inf, 0.05), "single_shot"),
+    (lambda: ramsey_population(0.1, 100.0, math.nan), "tau"),
+    (lambda: population_difference(0.1, 100.0, math.nan), "tau"),
+    (lambda: ramsey_population(0.1, 0.0, math.inf), "tau"),
 ], ids=["species_charge", "odf_gamma", "integrator_total_time", "ensemble_n_ions",
         "trap_b_field_inf", "trap_voltage_inf", "trap_z0_inf", "species_mass_inf",
         "odf_f0_inf", "odf_tau_inf", "odf_gamma_inf", "ensemble_n_ions_inf",
@@ -103,7 +106,9 @@ def test_species_validation():
         "z_amplitude_omega_x_nan", "precession_angle_zc_inf", "ramsey_population_theta_nan",
         "angle_random_walk_rotation_asd_nan", "population_difference_theta_max_nan",
         "population_difference_gamma_nan", "ramsey_population_gamma_nan",
-        "rotation_sensitivity_amplitude_asd_nan", "averaged_sensitivity_single_shot_inf"])
+        "rotation_sensitivity_amplitude_asd_nan", "averaged_sensitivity_single_shot_inf",
+        "ramsey_population_tau_nan", "population_difference_tau_nan",
+        "ramsey_population_tau_inf"])
 def test_nan_inputs_rejected(build, match):
     with pytest.raises(ValueError, match=match):
         build()

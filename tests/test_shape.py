@@ -1,12 +1,15 @@
 import math
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.optimize import brentq
 
 from penning_gyro import shape
-from penning_gyro.core import CA40
+from penning_gyro.core import CA40, NumericalError
 from penning_gyro.shape import (
     AspectRatioBracketError,
+    BrentConvergenceError,
     RotatingWallConfig,
     WallFrequencyError,
     aspect_ratio_from_beta,
@@ -89,6 +92,89 @@ def test_tiny_beta_has_no_bracket():
     # at beta = 1e-7 the root lies below the first grid point
     with pytest.raises(AspectRatioBracketError):
         aspect_ratio_from_beta(1e-7)
+
+
+def _walk_then_scipy_brentq(beta):
+    """The solve as it stood before bisection: walk the grid to the first
+    sign change, then refine that cell with scipy's brentq."""
+    previous = 0.0
+    for i, alpha in enumerate(shape._ALPHA_GRID):
+        value = shape.cold_fluid_residual(alpha, beta)
+        if previous * value < 0.0:
+            return brentq(shape.cold_fluid_residual, shape._ALPHA_GRID[i - 1], alpha,
+                          args=(beta,), xtol=1e-15, rtol=8.9e-16)
+        if value == 0.0:
+            return alpha
+        previous = value
+    raise AspectRatioBracketError(f"no sign change for beta={beta}")
+
+
+def _solve_outcome(solver, beta):
+    try:
+        return solver(beta).hex()
+    except AspectRatioBracketError:
+        return "no bracket"
+
+
+def test_bisection_and_brent_port_match_the_walk_and_scipy_bit_for_bit():
+    rng = random.Random(20240614)
+    betas = ([10.0 ** rng.uniform(-9.0, 0.0) for _ in range(1000)]
+             + [rng.uniform(0.0, 1.0) for _ in range(1000)]
+             + [10.0 ** -k for k in range(1, 17)]
+             + [1.0 - 10.0 ** -k for k in range(1, 17)])
+    betas = [beta for beta in betas if 0.0 < beta < 1.0]
+    assert len(betas) >= 2000
+    expected = {beta: _solve_outcome(_walk_then_scipy_brentq, beta) for beta in betas}
+    found = {beta: _solve_outcome(aspect_ratio_from_beta, beta) for beta in betas}
+    assert found == expected
+    no_bracket = [beta for beta, outcome in expected.items() if outcome == "no bracket"]
+    assert 100 < len(no_bracket) < len(betas) - 1000  # both outcomes are exercised
+
+
+def _brent_outcome(solve):
+    try:
+        return solve().hex()
+    except (RuntimeError, BrentConvergenceError):
+        return "no convergence"
+
+
+@settings(max_examples=300, deadline=None)
+@given(root=st.floats(-10.0, 10.0), left=st.floats(1e-18, 10.0),
+       right=st.floats(1e-18, 10.0), slope=st.floats(1e-3, 10.0),
+       cubic=st.floats(0.0, 10.0), scale=st.floats(0.0, 10.0),
+       growth=st.floats(0.0, 5.0))
+# a short step exactly as long as its limit, on the bracket (0, 1)
+@example(root=0.31868832550600656, left=0.31868832550600656,
+         right=1.0 - 0.31868832550600656, slope=1.0, cubic=8.0, scale=0.3, growth=3.0)
+# a half-bracket exactly as long as the tolerance, on the bracket (0, 1e-15)
+@example(root=2.5e-16, left=2.5e-16, right=7.5e-16, slope=1.0, cubic=0.0,
+         scale=0.0, growth=0.0)
+def test_brent_port_matches_scipy_brentq(root, left, right, slope, cubic, scale, growth):
+    def f(x):
+        u = x - root
+        return slope * u + cubic * u ** 3 + scale * math.expm1(growth * u)
+
+    a, b = root - left, root + right
+    assume(f(a) < 0.0 < f(b))
+    ported = _brent_outcome(lambda: shape._brentq(f, a, b, f(a), f(b)))
+    reference = _brent_outcome(lambda: brentq(f, a, b, xtol=shape._XTOL,
+                                              rtol=shape._RTOL, maxiter=shape._MAXITER))
+    assert ported == reference
+
+
+@pytest.mark.parametrize("index", [0, 1, 67, 999, 1000])
+def test_exact_zero_on_the_grid_is_returned(monkeypatch, index):
+    # a residual that vanishes exactly at one grid point, rising through it
+    zero = shape._ALPHA_GRID[index]
+    monkeypatch.setattr(shape, "cold_fluid_residual", lambda alpha, beta: alpha - zero)
+    assert _walk_then_scipy_brentq(0.5) == zero
+    assert aspect_ratio_from_beta(0.5) == zero
+
+
+def test_brent_iteration_cap_raises_a_numerical_error(monkeypatch):
+    monkeypatch.setattr(shape, "_MAXITER", 2)
+    with pytest.raises(NumericalError, match="did not converge"):
+        aspect_ratio_from_beta(0.054)
 
 
 def test_aspect_ratio_domain():
