@@ -1,7 +1,8 @@
 """Design-chain simulator for a trapped-ion vibration gyroscope.
 
 scipy is imported inside the functions that call it, so the paths that
-never need it (trap modes, figures 1-3) start without loading it.
+never need it (trap modes, figures 1-6, the sensing budget) start without
+loading it; the N-body crystal and ``extract_spectrum`` load it.
 """
 
 from .core import (

@@ -105,6 +105,8 @@ def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> float:
     """
     xblk = fblk = spre = scur = 0.0
     for _ in range(_MAXITER):
+        # brentq.c also asks fpre != 0 and fcur != 0: fpre never is, and at
+        # fcur == 0 the loop returns xcur below either way
         if (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -150,7 +152,7 @@ def aspect_ratio_from_beta(beta: float) -> float:
         return cold_fluid_residual(alpha, beta)
 
     lo, hi = -1, len(_ALPHA_GRID)  # residual < 0 up to lo, >= 0 from hi
-    f_lo = f_hi = 0.0
+    f_lo = f_hi = math.nan  # until a grid point is evaluated
     while hi - lo > 1:
         mid = (lo + hi) // 2
         value = residual(_ALPHA_GRID[mid])
@@ -158,7 +160,7 @@ def aspect_ratio_from_beta(beta: float) -> float:
             lo, f_lo = mid, value
         else:
             hi, f_hi = mid, value
-    if hi < len(_ALPHA_GRID) and f_hi == 0.0:
+    if f_hi == 0.0:
         return _ALPHA_GRID[hi]
     if lo < 0 or hi == len(_ALPHA_GRID):
         raise AspectRatioBracketError(
