@@ -1,8 +1,9 @@
 """Design-chain simulator for a trapped-ion vibration gyroscope.
 
 scipy is imported inside the functions that call it, so the paths that
-never need it (trap modes, figures 1-6, the sensing budget) start without
-loading it; the N-body crystal and ``extract_spectrum`` load it.
+never need it (trap modes, single-ion dynamics and its spectrum, figures
+1-6, the sensing budget) start without loading it; only the N-body crystal
+loads it.
 """
 
 from .core import (

@@ -130,12 +130,6 @@ def validate_stability(species: IonSpecies, trap: TrapConfig) -> StabilityReport
     )
 
 
-def max_stable_voltage(species: IonSpecies, b_field: float, z0: float) -> float:
-    """Voltage at which omega_z = omega_c/sqrt(2) exactly (instability edge)."""
-    omega_c = abs(species.charge) * b_field / species.mass
-    return species.mass * z0 ** 2 * omega_c ** 2 / (2.0 * abs(species.charge))
-
-
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write one output table in the csv module's default format.
 

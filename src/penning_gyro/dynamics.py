@@ -83,8 +83,8 @@ class Trajectory:
 def _generator(species: IonSpecies, trap: TrapConfig, rot: RotationInput) -> np.ndarray:
     """The force law as the 6x6 generator A of du/dt = A u, u = (r, v).
 
-    This is the only copy of the equation of motion: acceleration and
-    the RK4 integrator read their coefficients from it.
+    This is the only copy of the equation of motion: the RK4 integrator
+    reads its coefficients from it.
     """
     wz2 = axial_frequency_squared(species, trap)
     # signed Lorentz coefficient: q/m * B, sign of the charge kept
@@ -97,12 +97,6 @@ def _generator(species: IonSpecies, trap: TrapConfig, rot: RotationInput) -> np.
                    [-wc, 0.0, cor],
                    [0.0, -cor, 0.0]]
     return gen
-
-
-def acceleration(position, velocity, species: IonSpecies, trap: TrapConfig,
-                 rot: RotationInput) -> np.ndarray:
-    """Total acceleration at one phase-space point."""
-    return _generator(species, trap, rot)[3:] @ np.concatenate([position, velocity])
 
 
 def magnetron_orbit_state(radius: float, modes: ModeFrequencies) -> ParticleState:
@@ -202,51 +196,6 @@ def extract_spectrum(traj: Trajectory, coordinate: str = "z") -> list[SpectralPe
             peaks.append(SpectralPeak(float(freqs[i]), float(power[i])))
     peaks.sort(key=lambda p: p.power, reverse=True)
     return peaks
-
-
-def lab_frame_energy(traj: Trajectory, species: IonSpecies, trap: TrapConfig,
-                     rot: RotationInput) -> np.ndarray:
-    """Kinetic + electrostatic energy per sample of a run in this trap, J.
-
-    Only valid at zero rotation input: with Omega != 0 the frame is
-    non-inertial and this sum is not conserved, so the call is refused.
-    """
-    if rot.omega_x != 0.0:
-        raise ValueError("energy diagnostic requires a zero-rotation trajectory")
-    m = species.mass
-    wz2 = axial_frequency_squared(species, trap)
-    kinetic = 0.5 * m * np.sum(traj.velocities ** 2, axis=1)
-    x, y, z = traj.positions.T
-    potential = 0.5 * m * wz2 * z ** 2 - 0.25 * m * wz2 * (x ** 2 + y ** 2)
-    return kinetic + potential
-
-
-def driven_amplitude(traj: Trajectory, drive_omega: float) -> float:
-    """Lock-in amplitude of z at the drive frequency.
-
-    The first fifth of the run is skipped and the demodulation window is
-    truncated to an integer number of drive periods, which keeps leakage
-    from the free oscillation at the per-mille level.
-    """
-    # scipy's trapezoid, not np.trapezoid: the latter needs numpy >= 2
-    from scipy.integrate import trapezoid
-
-    if not traj.uniform:
-        raise ValueError("trajectory must be uniformly sampled")
-    t = traj.times
-    signal = traj.coordinate("z")
-    start = int(0.2 * t.size)
-    t, signal = t[start:], signal[start:]
-    period = 2.0 * math.pi / drive_omega
-    n_periods = int((t[-1] - t[0]) / period)
-    if n_periods < 1:
-        raise ValueError("window shorter than one drive period")
-    keep = t - t[0] <= n_periods * period
-    t, signal = t[keep], signal[keep]
-    in_phase = trapezoid(signal * np.cos(drive_omega * t), t)
-    quadrature = trapezoid(signal * np.sin(drive_omega * t), t)
-    window = t[-1] - t[0]
-    return 2.0 * math.hypot(in_phase, quadrature) / window
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

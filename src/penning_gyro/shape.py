@@ -181,6 +181,8 @@ def coulomb_trap_length(species: IonSpecies, omega_z: float) -> float:
     The m in the denominator is required for a0 to be a length; the
     mass-less variant sometimes quoted is dimensionally inconsistent.
     """
+    if not 0.0 < omega_z < math.inf:
+        raise ValueError("omega_z must be positive and finite")
     k = species.charge ** 2 * K_COULOMB
     return (k / (species.mass * omega_z ** 2)) ** (1.0 / 3.0)
 
@@ -192,6 +194,9 @@ def spheroid_dimensions(n_ions: float, alpha: float, beta: float,
         raise ValueError("alpha must be positive and finite")
     if not 1 <= n_ions < math.inf:
         raise ValueError("n_ions must be finite and at least 1")
+    # no upper bound: relax sizes its start from beta >= 1 too
+    if not -0.5 < beta < math.inf:
+        raise ValueError("beta must be finite and above -1/2")
     a0 = coulomb_trap_length(species, omega_z)
     r_cl = a0 * (3.0 / (2.0 * beta + 1.0) * n_ions / alpha) ** (1.0 / 3.0)
     z_cl = alpha * r_cl
@@ -208,6 +213,8 @@ class PlanarityReport:
 
 
 def planarity_check(beta: float, delta: float) -> PlanarityReport:
+    if not 0.0 <= delta < 1.0:
+        raise ValueError("delta must lie in [0, 1)")
     return PlanarityReport(delta < beta < PLANARITY_THRESHOLD)
 
 

@@ -1,0 +1,45 @@
+"""Measuring instruments the tests apply to the package's outputs.
+
+They stay out of ``penning_gyro`` because no program path runs them: the
+lock-in reads the response of an integrated run, and the voltage edge is
+a closed form that checks ``validate_stability`` from outside.
+"""
+import math
+
+import numpy as np
+# scipy's trapezoid, not np.trapezoid: the latter needs numpy >= 2
+from scipy.integrate import trapezoid
+
+from penning_gyro.dynamics import Trajectory
+
+
+def driven_amplitude(traj: Trajectory, drive_omega: float) -> float:
+    """Lock-in amplitude of z at the drive frequency.
+
+    The first fifth of the run is skipped and the demodulation window is
+    truncated to an integer number of drive periods, which keeps leakage
+    from the free oscillation at the per-mille level.
+    """
+    if not traj.uniform:
+        raise ValueError("trajectory must be uniformly sampled")
+    t = traj.times
+    signal = traj.coordinate("z")
+    start = int(0.2 * t.size)
+    t, signal = t[start:], signal[start:]
+    period = 2.0 * math.pi / drive_omega
+    n_periods = int((t[-1] - t[0]) / period)
+    if n_periods < 1:
+        raise ValueError("window shorter than one drive period")
+    keep = t - t[0] <= n_periods * period
+    t, signal = t[keep], signal[keep]
+    in_phase = trapezoid(signal * np.cos(drive_omega * t), t)
+    quadrature = trapezoid(signal * np.sin(drive_omega * t), t)
+    window = t[-1] - t[0]
+    return 2.0 * math.hypot(in_phase, quadrature) / window
+
+
+def max_stable_voltage(species, b_field: float, z0: float) -> float:
+    """Voltage at which omega_z = omega_c/sqrt(2) exactly (instability edge):
+    m z0^2 omega_c^2 / (2q)."""
+    omega_c = abs(species.charge) * b_field / species.mass
+    return species.mass * z0 ** 2 * omega_c ** 2 / (2.0 * abs(species.charge))

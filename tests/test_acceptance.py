@@ -17,12 +17,11 @@ import time
 import numpy as np
 from scipy.optimize import brentq
 
-from penning_gyro.core import CA40, RotationInput, TrapConfig, max_stable_voltage
+from penning_gyro.core import CA40, RotationInput, TrapConfig
 from penning_gyro.dynamics import (
     IntegratorConfig,
     ParticleState,
     default_time_step,
-    driven_amplitude,
     extract_spectrum,
     integrate,
     magnetron_orbit_state,
@@ -54,6 +53,8 @@ from penning_gyro.shape import (
     shape_beta,
     spheroid_dimensions,
 )
+
+from instruments import driven_amplitude, max_stable_voltage
 
 TRAP10 = TrapConfig(1.0, 10.0, 0.01)
 TRAP100 = TrapConfig(1.0, 100.0, 0.01)

@@ -238,9 +238,11 @@ def test_scipy_loads_only_on_demand(tmp_path):
     # a fresh interpreter: this test process has long since loaded scipy
     script = textwrap.dedent("""
         import contextlib, io, json, sys
+        import numpy as np
         import penning_gyro
         from penning_gyro.cli import main
         from penning_gyro.config import RunConfig
+        from penning_gyro.dynamics import Trajectory, extract_spectrum
 
         def loaded():
             return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -252,10 +254,14 @@ def test_scipy_loads_only_on_demand(tmp_path):
                          ["fig", "3"], ["budget"], ["fig", "4"], ["fig", "5"],
                          ["fig", "6"]):
                 codes[" ".join(argv)] = main(["--output-dir", sys.argv[1], *argv])
+            t = np.arange(4096) * 1e-6
+            tone = np.column_stack([0 * t, 0 * t, np.sin(2e5 * t)])
+            peaks = extract_spectrum(Trajectory(t, tone, np.zeros_like(tone)))
             before = loaded()
             codes["crystal"] = main(["--output-dir", sys.argv[1],
                                      "--set", "n_crystal=20", "crystal"])
-        print(json.dumps({"codes": codes, "before": before, "after": loaded()}))
+        print(json.dumps({"codes": codes, "peaks": len(peaks), "before": before,
+                          "after": loaded()}))
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(penning_gyro.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
@@ -264,6 +270,7 @@ def test_scipy_loads_only_on_demand(tmp_path):
     assert result["codes"] == {name: EXIT_OK for name in (
         "constants", "modes", "fig 1", "fig 2", "fig 3", "budget", "fig 4",
         "fig 5", "fig 6", "crystal")}
+    assert result["peaks"] > 0
     assert result["before"] == []
     assert {"scipy.optimize", "scipy.spatial"} <= set(result["after"])
     assert (tmp_path / "budget.json").is_file()

@@ -11,7 +11,6 @@ from penning_gyro.core import (
     TrapConfig,
     axial_frequency,
     cyclotron_frequency,
-    max_stable_voltage,
     validate_stability,
 )
 from penning_gyro.dynamics import IntegratorConfig
@@ -27,7 +26,14 @@ from penning_gyro.sensing import (
     ramsey_population,
     rotation_sensitivity,
 )
-from penning_gyro.shape import RotatingWallConfig, spheroid_dimensions
+from penning_gyro.shape import (
+    RotatingWallConfig,
+    coulomb_trap_length,
+    planarity_check,
+    spheroid_dimensions,
+)
+
+from instruments import max_stable_voltage
 
 OSC = OscillatorParams(omega_z=1.55e6, omega_r=1.55e6, quality_factor=1e6)
 
@@ -95,6 +101,19 @@ def test_species_validation():
     (lambda: ramsey_population(0.1, 100.0, math.nan), "tau"),
     (lambda: population_difference(0.1, 100.0, math.nan), "tau"),
     (lambda: ramsey_population(0.1, 0.0, math.inf), "tau"),
+    # shape inputs: each must be named, not fail later as a division by
+    # zero or as the spheroid's r_cl > z_cl > 0
+    (lambda: spheroid_dimensions(1000, 0.07, math.inf, 1.55e6, CA40), "beta"),
+    (lambda: spheroid_dimensions(1000, 0.07, -math.inf, 1.55e6, CA40), "beta"),
+    (lambda: spheroid_dimensions(1000, 0.07, math.nan, 1.55e6, CA40), "beta"),
+    (lambda: spheroid_dimensions(1000, 0.07, -0.5, 1.55e6, CA40), "beta"),
+    (lambda: spheroid_dimensions(1000, 0.07, 0.05, math.inf, CA40), "omega_z"),
+    (lambda: spheroid_dimensions(1000, 0.07, 0.05, -math.inf, CA40), "omega_z"),
+    (lambda: spheroid_dimensions(1000, 0.07, 0.05, math.nan, CA40), "omega_z"),
+    (lambda: coulomb_trap_length(CA40, math.nan), "omega_z"),
+    (lambda: coulomb_trap_length(CA40, math.inf), "omega_z"),
+    (lambda: coulomb_trap_length(CA40, 0.0), "omega_z"),
+    (lambda: planarity_check(0.05, -math.inf), "delta"),
 ], ids=["species_charge", "odf_gamma", "integrator_total_time", "ensemble_n_ions",
         "trap_b_field_inf", "trap_voltage_inf", "trap_z0_inf", "species_mass_inf",
         "odf_f0_inf", "odf_tau_inf", "odf_gamma_inf", "ensemble_n_ions_inf",
@@ -108,7 +127,11 @@ def test_species_validation():
         "population_difference_gamma_nan", "ramsey_population_gamma_nan",
         "rotation_sensitivity_amplitude_asd_nan", "averaged_sensitivity_single_shot_inf",
         "ramsey_population_tau_nan", "population_difference_tau_nan",
-        "ramsey_population_tau_inf"])
+        "ramsey_population_tau_inf", "spheroid_beta_inf", "spheroid_beta_minus_inf",
+        "spheroid_beta_nan", "spheroid_beta_minus_half", "spheroid_omega_z_inf",
+        "spheroid_omega_z_minus_inf", "spheroid_omega_z_nan", "coulomb_trap_length_omega_z_nan",
+        "coulomb_trap_length_omega_z_inf", "coulomb_trap_length_omega_z_zero",
+        "planarity_delta_minus_inf"])
 def test_nan_inputs_rejected(build, match):
     with pytest.raises(ValueError, match=match):
         build()

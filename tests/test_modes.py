@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from penning_gyro.core import CA40, TrapConfig, max_stable_voltage, validate_stability
+from penning_gyro.core import CA40, TrapConfig, validate_stability
 from penning_gyro.modes import (
     UnstableTrapError,
     compute_modes,
     freq_difference_sweep,
     write_sweep_csv,
 )
+
+from instruments import max_stable_voltage
 
 
 def test_mode_triplet_10v(modes10):

@@ -35,6 +35,15 @@ def test_no_unused_imports():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def _imported_modules(node: ast.AST) -> list[str]:
+    """The modules an import statement names; none for any other node."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""]
+    return []
+
+
 def _import_time_scipy_imports(node: ast.AST) -> list[int]:
     """Lines of the scipy imports that run when the module is imported:
     every one outside a function body."""
@@ -42,13 +51,7 @@ def _import_time_scipy_imports(node: ast.AST) -> list[int]:
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if isinstance(child, ast.Import):
-            names = [alias.name for alias in child.names]
-        elif isinstance(child, ast.ImportFrom):
-            names = [child.module or ""]
-        else:
-            names = []
-        if any(name.split(".")[0] == "scipy" for name in names):
+        if any(name.split(".")[0] == "scipy" for name in _imported_modules(child)):
             lines.append(child.lineno)
         lines += _import_time_scipy_imports(child)
     return lines
@@ -62,6 +65,17 @@ def test_scipy_is_imported_only_inside_functions():
     found = {path.name: _import_time_scipy_imports(ast.parse(path.read_text()))
              for path in sources}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_scipy_subpackages_are_the_crystal_paths():
+    # the N-body crystal is the only program path that needs scipy: L-BFGS
+    # and the pair distances; a third subpackage is a test instrument or a
+    # new load on a path that starts without scipy
+    subpackages = {".".join(name.split(".")[:2])
+                   for path in Path(penning_gyro.__file__).parent.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   for name in _imported_modules(node) if name.split(".")[0] == "scipy"}
+    assert subpackages == {"scipy.optimize", "scipy.spatial"}
 
 
 CALLER_DIRS = ("src", "tests", "scripts", "perfbench")
@@ -113,9 +127,7 @@ def test_every_default_is_passed_by_some_caller():
 
 
 # public functions that only tests call, as references for the chain's checks
-TEST_REFERENCES = {"acceleration", "axial_depolarization", "driven_amplitude",
-                   "lab_frame_energy", "max_stable_voltage", "population_snr",
-                   "ramsey_population"}
+TEST_REFERENCES = {"axial_depolarization", "population_snr", "ramsey_population"}
 
 
 def _referenced_names(tree: ast.Module) -> set[str]:
