@@ -6,9 +6,9 @@ across concurrent sweep workers.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 
@@ -130,14 +130,34 @@ def validate_stability(species: IonSpecies, trap: TrapConfig) -> StabilityReport
     )
 
 
+# rows formatted, checked and written at a time, so no string holds a whole table
+_BLOCK_ROWS = 1024
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write one output table in the csv module's default format.
 
-    Every table goes through here.  A float cell is its shortest repr, so
-    it reads back bit for bit; None is the empty cell that marks a gap;
-    lines end in CRLF.  Pass arrays as ``.tolist()``: same text, faster.
+    Every table goes through here.  A cell is its ``str()``, so a float is
+    its shortest repr and reads back bit for bit; None is the empty cell
+    that marks a gap; lines end in CRLF.  No cell is quoted: a ValueError
+    rejects a header of fewer than two names, a ragged row, and a cell that
+    holds a comma, quote, CR or LF.  Pass arrays as ``.tolist()``: same
+    text, faster.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    width = len(header)
+    if width < 2:
+        raise ValueError(f"{path}: a table needs at least two columns, got {width}")
+    rows = iter(rows)
+    with open(path, "w", newline="\r\n") as fh:
+        block = [header]
+        while block:
+            text = "\n".join([",".join(["" if cell is None else str(cell) for cell in row])
+                              for row in block])
+            if set(map(len, block)) != {width}:
+                raise ValueError(f"{path}: every row must have the header's {width} cells")
+            # with every row `width` wide, any other count of commas or LFs is a cell's
+            if (text.count(",") != len(block) * (width - 1)
+                    or text.count("\n") != len(block) - 1 or '"' in text or "\r" in text):
+                raise ValueError(f"{path}: a cell holds a comma, quote, CR or LF")
+            fh.write(text + "\n")
+            block = list(islice(rows, _BLOCK_ROWS))

@@ -36,7 +36,11 @@ def transfer_gain(params: OscillatorParams) -> float:
     """Dimensionless magnification 1/sqrt((1-G^2)^2 + (2 zeta G)^2)."""
     g = params.gamma_ratio
     z = params.zeta
-    return 1.0 / math.hypot(1.0 - g * g, 2.0 * z * g)
+    denominator = math.hypot(1.0 - g * g, 2.0 * z * g)
+    if denominator == 0.0:  # only Q = inf at omega_r = omega_z reaches zero
+        raise ValueError("quality_factor is inf at resonance: an undamped "
+                         "oscillator driven at resonance has unbounded gain")
+    return 1.0 / denominator
 
 
 def z_amplitude(omega_x: float, y_amp: float, params: OscillatorParams) -> float:

@@ -79,6 +79,8 @@ def cold_fluid_residual(alpha: float, beta: float) -> float:
 
 def axial_depolarization(alpha: float) -> float:
     """A_z of a uniform oblate spheroid with aspect ratio alpha in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
     ecc = math.sqrt(1.0 - alpha * alpha)
     return (1.0 - alpha * math.asin(ecc) / ecc) / ecc ** 2
 

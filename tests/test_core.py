@@ -1,10 +1,14 @@
+import csv
 import math
+import re
 from dataclasses import asdict
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from penning_gyro.core import (
+    _BLOCK_ROWS,
     CA40,
     CONST,
     IonSpecies,
@@ -12,10 +16,16 @@ from penning_gyro.core import (
     axial_frequency,
     cyclotron_frequency,
     validate_stability,
+    write_csv,
 )
 from penning_gyro.dynamics import IntegratorConfig
 from penning_gyro.equilibrium import RelaxationConfig
-from penning_gyro.response import OscillatorParams, rotation_scale_factor, z_amplitude
+from penning_gyro.response import (
+    OscillatorParams,
+    rotation_scale_factor,
+    transfer_gain,
+    z_amplitude,
+)
 from penning_gyro.sensing import (
     EnsembleSpec,
     ODFParams,
@@ -28,6 +38,7 @@ from penning_gyro.sensing import (
 )
 from penning_gyro.shape import (
     RotatingWallConfig,
+    axial_depolarization,
     coulomb_trap_length,
     planarity_check,
     spheroid_dimensions,
@@ -114,6 +125,15 @@ def test_species_validation():
     (lambda: coulomb_trap_length(CA40, math.inf), "omega_z"),
     (lambda: coulomb_trap_length(CA40, 0.0), "omega_z"),
     (lambda: planarity_check(0.05, -math.inf), "delta"),
+    # Q = inf is allowed, but its gain at resonance is unbounded
+    (lambda: transfer_gain(OscillatorParams(1.55e6, 1.55e6, math.inf)), "quality_factor"),
+    # A_z's closed form holds for an oblate spheroid, 0 < alpha < 1
+    (lambda: axial_depolarization(math.nan), "alpha"),
+    (lambda: axial_depolarization(math.inf), "alpha"),
+    (lambda: axial_depolarization(1.0), "alpha"),
+    (lambda: axial_depolarization(2.0), "alpha"),
+    (lambda: axial_depolarization(-0.5), "alpha"),
+    (lambda: axial_depolarization(0.0), "alpha"),
 ], ids=["species_charge", "odf_gamma", "integrator_total_time", "ensemble_n_ions",
         "trap_b_field_inf", "trap_voltage_inf", "trap_z0_inf", "species_mass_inf",
         "odf_f0_inf", "odf_tau_inf", "odf_gamma_inf", "ensemble_n_ions_inf",
@@ -131,7 +151,10 @@ def test_species_validation():
         "spheroid_beta_nan", "spheroid_beta_minus_half", "spheroid_omega_z_inf",
         "spheroid_omega_z_minus_inf", "spheroid_omega_z_nan", "coulomb_trap_length_omega_z_nan",
         "coulomb_trap_length_omega_z_inf", "coulomb_trap_length_omega_z_zero",
-        "planarity_delta_minus_inf"])
+        "planarity_delta_minus_inf", "transfer_gain_undamped_resonance",
+        "axial_depolarization_alpha_nan", "axial_depolarization_alpha_inf",
+        "axial_depolarization_alpha_one", "axial_depolarization_alpha_two",
+        "axial_depolarization_alpha_minus_half", "axial_depolarization_alpha_zero"])
 def test_nan_inputs_rejected(build, match):
     with pytest.raises(ValueError, match=match):
         build()
@@ -179,3 +202,66 @@ def test_max_stable_voltage_is_the_edge(b, frac):
     above = validate_stability(CA40, TrapConfig(b, v_max / frac, 0.01))
     assert below.stable
     assert not above.stable
+
+
+SEPARATORS = ',"\r\n'
+NAMES = st.one_of(st.just("None"),
+                  st.text(st.characters(codec="utf-8", exclude_characters=SEPARATORS)))
+CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2e-308,
+                     1e16, 1e-5, -1e-5]),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    NAMES,
+)
+
+
+def _csv_module_bytes(path, header, rows) -> bytes:
+    """The table as csv.writer's default dialect writes it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), width=st.integers(min_value=2, max_value=6),
+       n_rows=st.sampled_from([0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]),
+       at_end=st.booleans())
+def test_write_csv_matches_the_csv_module(tmp_path, data, width, n_rows, at_end):
+    # a few drawn rows, then one repeated row: the drawn ones land in the
+    # first or the last block, so neighbouring blocks differ in their cells
+    row = st.lists(CELLS, min_size=width, max_size=width)
+    header = data.draw(st.lists(NAMES, min_size=width, max_size=width))
+    rows = (data.draw(st.lists(row, max_size=5)) + [data.draw(row)] * n_rows)[:n_rows]
+    if at_end:
+        rows.reverse()
+    write_csv(tmp_path / "table.csv", header, iter(rows))
+    expected = _csv_module_bytes(tmp_path / "csv_module.csv", header, rows)
+    assert (tmp_path / "table.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("header, rows", [
+    *[(["a", "b"], [[1.0, f"x{sep}y"]]) for sep in SEPARATORS],
+    *[(["a", f"b{sep}"], [[1.0, 2.0]]) for sep in SEPARATORS],
+    (["a", "b"], [[1.0, 2.0], [3.0]]),
+    (["a", "b"], [[1.0, 2.0], [3.0, 4.0, 5.0]]),
+    # the short row's missing comma is made up by the cell's
+    (["a", "b"], [[1.0], [2.0, "x,y"]]),
+    (["a", "b"], [[1.0, 2.0]] * _BLOCK_ROWS + [[3.0, "x,y"]]),
+    (["a"], [[1.0]]),
+], ids=["cell_comma", "cell_quote", "cell_cr", "cell_lf",
+        "header_comma", "header_quote", "header_cr", "header_lf",
+        "row_short", "row_long", "row_short_and_cell_comma",
+        "cell_comma_in_second_block", "one_column"])
+def test_write_csv_rejects_what_needs_quoting(tmp_path, header, rows):
+    # csv.writer would quote the cell or accept the table; the tables here
+    # are never quoted, so these must fail and name the file
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        write_csv(path, header, rows)

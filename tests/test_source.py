@@ -78,6 +78,17 @@ def test_scipy_subpackages_are_the_crystal_paths():
     assert subpackages == {"scipy.optimize", "scipy.spatial"}
 
 
+def test_no_module_imports_csv():
+    # core.write_csv formats every table itself, without the csv module's
+    # per-field quoting scan; a csv writer elsewhere would be a second format
+    sources = sorted(Path(penning_gyro.__file__).parent.glob("*.py"))
+    assert len(sources) >= 11
+    found = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text()))
+             if any(name.split(".")[0] == "csv" for name in _imported_modules(node))]
+    assert found == []
+
+
 CALLER_DIRS = ("src", "tests", "scripts", "perfbench")
 
 
