@@ -1,10 +1,14 @@
 """Design-chain simulator for a trapped-ion vibration gyroscope.
 
-scipy is imported inside the functions that call it, so the paths that
-never need it (trap modes, single-ion dynamics and its spectrum, figures
-1-6, the sensing budget) start without loading it; only the N-body crystal
-loads it.
+The chain from constants to the sensing budget (trap modes, crystal shape,
+rotation response, readout) is pure Python.  The numpy layers, single-ion
+``dynamics`` and the N-body ``equilibrium``, are imported on first access
+to one of their names (PEP 562), so ``import penning_gyro`` loads neither
+numpy nor scipy.  scipy is imported inside the functions that call it:
+only the N-body crystal loads it.
 """
+
+import importlib
 
 from .core import (
     CA40,
@@ -17,14 +21,6 @@ from .core import (
     validate_stability,
 )
 from .modes import ModeFrequencies, UnstableTrapError, compute_modes, freq_difference_sweep
-from .dynamics import (
-    IntegratorConfig,
-    ParticleState,
-    Trajectory,
-    extract_spectrum,
-    integrate,
-    magnetron_orbit_state,
-)
 from .shape import (
     RotatingWallConfig,
     SpheroidGeometry,
@@ -34,14 +30,6 @@ from .shape import (
     shape_beta,
     shape_sweep,
     spheroid_dimensions,
-)
-from .equilibrium import (
-    IonConfiguration,
-    RelaxationConfig,
-    forces,
-    measured_shape,
-    relax,
-    rotating_frame_potential,
 )
 from .response import OscillatorParams, transfer_gain, z_amplitude
 from .sensing import (
@@ -59,3 +47,21 @@ from .sensing import (
 )
 
 __version__ = "0.1.0"
+
+# the numpy layers' public names -> the module that defines each
+_LAZY = {
+    **dict.fromkeys(("IntegratorConfig", "ParticleState", "Trajectory", "extract_spectrum",
+                     "integrate", "magnetron_orbit_state"), "dynamics"),
+    **dict.fromkeys(("IonConfiguration", "RelaxationConfig", "forces", "measured_shape",
+                     "relax", "rotating_frame_potential"), "equilibrium"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted([*globals(), *_LAZY])

@@ -18,14 +18,6 @@ from dataclasses import asdict
 
 from .config import RunConfig, load_config
 from .core import CONST, NumericalError, validate_stability, write_csv
-from .equilibrium import (
-    ConvergenceError,
-    RelaxationConfig,
-    measured_shape,
-    relax,
-    write_configuration_csv,
-)
-from .figures import generate_figure
 from .modes import compute_modes
 from .response import OscillatorParams, rotation_scale_factor
 from .sensing import EnsembleSpec, ODFParams, budget_json, build_budget
@@ -111,6 +103,8 @@ def _cmd_modes(args, config: RunConfig) -> int:
 
 
 def _cmd_fig(args, config: RunConfig) -> int:
+    from .figures import generate_figure
+
     paths = generate_figure(args.figure_id, config, _outdir(args))
     if args.json:
         print(json.dumps({"files": paths}))
@@ -162,6 +156,8 @@ def _cmd_budget(args, config: RunConfig) -> int:
 
 def _write_crystal(outdir: str, crystal, payload: dict) -> str:
     """Write crystal.csv and crystal_report.json; return the report text."""
+    from .equilibrium import write_configuration_csv
+
     write_configuration_csv(crystal, os.path.join(outdir, "crystal.csv"))
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(os.path.join(outdir, "crystal_report.json"), "w") as fh:
@@ -170,6 +166,8 @@ def _write_crystal(outdir: str, crystal, payload: dict) -> str:
 
 
 def _cmd_crystal(args, config: RunConfig) -> int:
+    from .equilibrium import ConvergenceError, RelaxationConfig, measured_shape, relax
+
     species, trap = config.ion(), config.trap()
     modes = compute_modes(species, trap)
     wall = config.wall(modes)

@@ -7,6 +7,8 @@ across concurrent sweep workers.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
@@ -141,23 +143,32 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     its shortest repr and reads back bit for bit; None is the empty cell
     that marks a gap; lines end in CRLF.  No cell is quoted: a ValueError
     rejects a header of fewer than two names, a ragged row, and a cell that
-    holds a comma, quote, CR or LF.  Pass arrays as ``.tolist()``: same
+    holds a comma, quote, CR or LF.  The table goes to ``<path>.part`` and
+    replaces ``path`` only once its last row has passed, so a rejected table
+    leaves the directory as it was.  Pass arrays as ``.tolist()``: same
     text, faster.
     """
     width = len(header)
     if width < 2:
         raise ValueError(f"{path}: a table needs at least two columns, got {width}")
     rows = iter(rows)
-    with open(path, "w", newline="\r\n") as fh:
-        block = [header]
-        while block:
-            text = "\n".join([",".join(["" if cell is None else str(cell) for cell in row])
-                              for row in block])
-            if set(map(len, block)) != {width}:
-                raise ValueError(f"{path}: every row must have the header's {width} cells")
-            # with every row `width` wide, any other count of commas or LFs is a cell's
-            if (text.count(",") != len(block) * (width - 1)
-                    or text.count("\n") != len(block) - 1 or '"' in text or "\r" in text):
-                raise ValueError(f"{path}: a cell holds a comma, quote, CR or LF")
-            fh.write(text + "\n")
-            block = list(islice(rows, _BLOCK_ROWS))
+    part = f"{path}.part"
+    try:
+        with open(part, "w", newline="\r\n") as fh:
+            block = [header]
+            while block:
+                text = "\n".join([",".join(["" if cell is None else str(cell) for cell in row])
+                                  for row in block])
+                if set(map(len, block)) != {width}:
+                    raise ValueError(f"{path}: every row must have the header's {width} cells")
+                # with every row `width` wide, any other count of commas or LFs is a cell's
+                if (text.count(",") != len(block) * (width - 1)
+                        or text.count("\n") != len(block) - 1 or '"' in text or "\r" in text):
+                    raise ValueError(f"{path}: a cell holds a comma, quote, CR or LF")
+                fh.write(text + "\n")
+                block = list(islice(rows, _BLOCK_ROWS))
+        os.replace(part, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(part)
+        raise

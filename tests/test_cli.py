@@ -188,7 +188,7 @@ def test_crystal_small(tmp_path, capsys):
 
 def test_crystal_non_convergence_writes_outputs(tmp_path, capsys, monkeypatch):
     # a force floor no descent reaches takes the ConvergenceError branch
-    monkeypatch.setattr("penning_gyro.cli.RelaxationConfig",
+    monkeypatch.setattr("penning_gyro.equilibrium.RelaxationConfig",
                         functools.partial(RelaxationConfig, force_tolerance=1e-30))
     code, _, err = run(["--output-dir", str(tmp_path), "--set", "n_crystal=5",
                         "crystal"], capsys)
@@ -204,7 +204,7 @@ def test_crystal_non_convergence_writes_outputs(tmp_path, capsys, monkeypatch):
 def test_crystal_coincident_ions_is_numerical(tmp_path, capsys, monkeypatch):
     def coincide(*args, **kwargs):
         raise CoincidentIonsError("coincident ions")
-    monkeypatch.setattr("penning_gyro.cli.relax", coincide)
+    monkeypatch.setattr("penning_gyro.equilibrium.relax", coincide)
     code, _, err = run(["--output-dir", str(tmp_path), "--set", "n_crystal=5",
                         "crystal"], capsys)
     assert code == EXIT_NUMERICAL
@@ -273,4 +273,37 @@ def test_scipy_loads_only_on_demand(tmp_path):
     assert result["peaks"] > 0
     assert result["before"] == []
     assert {"scipy.optimize", "scipy.spatial"} <= set(result["after"])
+    assert (tmp_path / "budget.json").is_file()
+
+
+def test_numpy_loads_only_on_demand(tmp_path):
+    # the chain from constants to the budget is pure Python; only the numpy
+    # layers (single-ion dynamics, the N-body crystal, figures) load numpy
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import penning_gyro
+        from penning_gyro.cli import main
+        from penning_gyro.config import RunConfig
+
+        RunConfig().modes()
+        codes = {}
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["constants"], ["modes"], ["budget"], ["--help"]):
+                try:
+                    codes[" ".join(argv)] = main(["--output-dir", sys.argv[1], *argv])
+                except SystemExit as exc:
+                    codes[" ".join(argv)] = exc.code
+            before = "numpy" in sys.modules
+            codes["fig 1"] = main(["--output-dir", sys.argv[1], "fig", "1"])
+        print(json.dumps({"codes": codes, "before": before,
+                          "after": "numpy" in sys.modules}))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(penning_gyro.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["codes"] == {name: EXIT_OK for name in (
+        "constants", "modes", "budget", "--help", "fig 1")}
+    assert result["before"] is False
+    assert result["after"] is True
     assert (tmp_path / "budget.json").is_file()

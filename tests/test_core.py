@@ -265,3 +265,15 @@ def test_write_csv_rejects_what_needs_quoting(tmp_path, header, rows):
     path = tmp_path / "table.csv"
     with pytest.raises(ValueError, match=re.escape(str(path))):
         write_csv(path, header, rows)
+    # nothing under the real name, not even the blocks that passed, nor a stray file
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_csv_keeps_the_old_table_on_a_rejected_rewrite(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, ["a", "b"], [[1.0, 2.0]])
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        write_csv(path, ["a", "b"], [[1.0, 2.0]] * _BLOCK_ROWS + [[3.0, "x,y"]])
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]

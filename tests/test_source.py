@@ -4,6 +4,8 @@ import inspect
 import math
 from pathlib import Path
 
+import pytest
+
 import penning_gyro
 from penning_gyro.core import NumericalError
 
@@ -36,25 +38,25 @@ def test_no_unused_imports():
 
 
 def _imported_modules(node: ast.AST) -> list[str]:
-    """The modules an import statement names; none for any other node."""
+    """The modules an import statement names, a relative one with its
+    leading dots; none for any other node."""
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
     if isinstance(node, ast.ImportFrom):
-        return [node.module or ""]
+        return ["." * node.level + (node.module or "")]
     return []
 
 
-def _import_time_scipy_imports(node: ast.AST) -> list[int]:
-    """Lines of the scipy imports that run when the module is imported:
+def _import_time_imports(node: ast.AST) -> list[tuple[str, int]]:
+    """(module, line) of the imports that run when the module is imported:
     every one outside a function body."""
-    lines = []
+    found = []
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if any(name.split(".")[0] == "scipy" for name in _imported_modules(child)):
-            lines.append(child.lineno)
-        lines += _import_time_scipy_imports(child)
-    return lines
+        found += [(name, child.lineno) for name in _imported_modules(child)]
+        found += _import_time_imports(child)
+    return found
 
 
 def test_scipy_is_imported_only_inside_functions():
@@ -62,7 +64,8 @@ def test_scipy_is_imported_only_inside_functions():
     # call it (modes, figures 1-3, --help) would otherwise start ~4x slower
     sources = sorted(Path(penning_gyro.__file__).parent.glob("*.py"))
     assert len(sources) >= 11
-    found = {path.name: _import_time_scipy_imports(ast.parse(path.read_text()))
+    found = {path.name: [line for name, line in _import_time_imports(ast.parse(path.read_text()))
+                         if name.split(".")[0] == "scipy"]
              for path in sources}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
@@ -76,6 +79,57 @@ def test_scipy_subpackages_are_the_crystal_paths():
                    for node in ast.walk(ast.parse(path.read_text()))
                    for name in _imported_modules(node) if name.split(".")[0] == "scipy"}
     assert subpackages == {"scipy.optimize", "scipy.spatial"}
+
+
+# the modules whose import loads numpy; the chain from the constants to the
+# budget (core, modes, shape, response, sensing, config, cli) is pure Python
+NUMPY_MODULES = {"dynamics", "equilibrium", "figures"}
+
+
+def test_numpy_is_imported_by_the_numpy_layers_alone():
+    # `import penning_gyro`, constants, modes and budget start without numpy's
+    # ~70 ms; a module-level import of numpy, or of a module that loads it,
+    # puts that load on every path through the importing module
+    imports = {path.stem: {name if name.startswith(".") else name.split(".")[0]
+                           for name, _ in _import_time_imports(ast.parse(path.read_text()))}
+               for path in Path(penning_gyro.__file__).parent.glob("*.py")}
+    assert len(imports) >= 11
+    loads, grown = set(), True
+    while grown:
+        reached = {stem for stem, names in imports.items()
+                   if "numpy" in names or names & {f".{m}" for m in loads}}
+        loads, grown = reached, reached != loads
+    assert loads == NUMPY_MODULES
+
+
+# the public names of the numpy layers, which the package resolves on first access
+LAZY_NAMES = {
+    "dynamics": ("IntegratorConfig", "ParticleState", "Trajectory", "extract_spectrum",
+                 "integrate", "magnetron_orbit_state"),
+    "equilibrium": ("IonConfiguration", "RelaxationConfig", "forces", "measured_shape",
+                    "relax", "rotating_frame_potential"),
+}
+
+
+def test_lazy_names_are_the_modules_objects():
+    for module_name, names in LAZY_NAMES.items():
+        module = importlib.import_module(f"penning_gyro.{module_name}")
+        for name in names:
+            assert getattr(penning_gyro, name) is getattr(module, name)
+    from penning_gyro import relax
+    assert relax is importlib.import_module("penning_gyro.equilibrium").relax
+
+
+def test_dir_lists_every_public_name():
+    public = {name for name in dir(penning_gyro) if not name.startswith("_")
+              and not inspect.ismodule(getattr(penning_gyro, name))}
+    assert len(public) == 46
+    assert {name for names in LAZY_NAMES.values() for name in names} <= public
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        penning_gyro.no_such_name
 
 
 def test_no_module_imports_csv():
