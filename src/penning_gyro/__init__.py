@@ -16,9 +16,7 @@ from .core import (
     IonSpecies,
     PhysicalConstants,
     RotationInput,
-    StabilityReport,
     TrapConfig,
-    validate_stability,
 )
 from .modes import ModeFrequencies, UnstableTrapError, compute_modes, freq_difference_sweep
 from .shape import (

@@ -17,8 +17,7 @@ import sys
 from dataclasses import asdict
 
 from .config import RunConfig, load_config
-from .core import CONST, NumericalError, validate_stability, write_csv
-from .modes import compute_modes
+from .core import CONST, NumericalError, write_csv
 from .response import OscillatorParams, rotation_scale_factor
 from .sensing import EnsembleSpec, ODFParams, budget_json, build_budget
 from .shape import aspect_ratio_from_beta, planarity_check, shape_beta, spheroid_dimensions
@@ -74,9 +73,7 @@ def _cmd_constants(args, config: RunConfig) -> int:
 
 
 def _cmd_modes(args, config: RunConfig) -> int:
-    species, trap = config.ion(), config.trap()
-    report = validate_stability(species, trap)
-    modes = compute_modes(species, trap)  # raises UnstableTrapError when unstable
+    modes = config.modes()  # raises UnstableTrapError when unstable
     rows = [("magnetron", modes.f_m), ("axial", modes.f_z),
             ("modified cyclotron", modes.f_cap_m), ("true cyclotron", modes.f_c)]
     if args.json:
@@ -86,14 +83,14 @@ def _cmd_modes(args, config: RunConfig) -> int:
             "f_cap_m_hz": modes.f_cap_m, "f_c_hz": modes.f_c,
             "omega_m_rad_s": modes.omega_m, "omega_z_rad_s": modes.omega_z,
             "omega_cap_m_rad_s": modes.omega_cap_m, "omega_c_rad_s": modes.omega_c,
-            "stable": report.stable, "stability_margin_rad_s": report.margin,
+            "stable": True, "stability_margin_rad_s": modes.stability_margin,
         }, indent=2, sort_keys=True))
     else:
-        print(f"{species.name}  B={config.b_field_t} T  "
+        print(f"{config.ion().name}  B={config.b_field_t} T  "
               f"V={config.trap_voltage_v} V  z0={config.char_length_m} m")
         for name, f in rows:
             print(f"  {name:20s} {f / 1e3:12.4f} kHz")
-        print(f"  stability margin     {report.margin:12.4g} rad/s")
+        print(f"  stability margin     {modes.stability_margin:12.4g} rad/s")
     if args.csv:
         path = os.path.join(_outdir(args), "modes.csv")
         write_csv(path, ["mode", "frequency_hz"],
@@ -115,8 +112,7 @@ def _cmd_fig(args, config: RunConfig) -> int:
 
 
 def _cmd_budget(args, config: RunConfig) -> int:
-    species, trap = config.ion(), config.trap()
-    modes = compute_modes(species, trap)
+    species, modes = config.ion(), config.modes()
     wall = config.wall(modes)
     beta = shape_beta(modes, wall.omega_r)
     alpha = aspect_ratio_from_beta(beta)
@@ -168,8 +164,7 @@ def _write_crystal(outdir: str, crystal, payload: dict) -> str:
 def _cmd_crystal(args, config: RunConfig) -> int:
     from .equilibrium import ConvergenceError, RelaxationConfig, measured_shape, relax
 
-    species, trap = config.ion(), config.trap()
-    modes = compute_modes(species, trap)
+    species, modes = config.ion(), config.modes()
     wall = config.wall(modes)
     relax_cfg = RelaxationConfig(initial_seed=config.seed)
     outdir = _outdir(args)
@@ -185,7 +180,7 @@ def _cmd_crystal(args, config: RunConfig) -> int:
         print(text, end="")
     else:
         print(f"relaxed {config.n_crystal} ions: spacing median "
-              f"{stats.spacing_median * 1e6:.2f} um, alpha_md {stats.alpha_md:.3f}, "
+              f"{stats.spacing_median * 1e6:.2f} um, alpha {stats.alpha:.3f}, "
               f"residual force {report.max_force:.3g} N")
         print(f"wrote {os.path.join(outdir, 'crystal.csv')}")
     return EXIT_OK

@@ -101,37 +101,6 @@ def axial_frequency(species: IonSpecies, trap: TrapConfig) -> float:
     return math.sqrt(axial_frequency_squared(species, trap))
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    stable: bool
-    margin: float    # rad/s, omega_c/sqrt(2) - omega_z
-    omega_z: float   # rad/s
-    omega_c: float   # rad/s
-
-
-def validate_stability(species: IonSpecies, trap: TrapConfig) -> StabilityReport:
-    """Axial confinement must stay below the radial-defocusing bound.
-
-    Trapping is stable iff omega_c^2 - 2 omega_z^2 > 0, the discriminant
-    of the radial modes; at zero the magnetron and modified cyclotron
-    roots meet and the motion is marginal.  ``compute_modes`` decides from
-    this report, so the two never disagree at the edge.  The report
-    carries the signed margin instead of raising; its sign is the
-    decision's.
-    """
-    omega_c = cyclotron_frequency(species, trap)
-    omega_z = axial_frequency(species, trap)
-    disc = omega_c ** 2 - 2.0 * omega_z ** 2
-    return StabilityReport(
-        stable=disc > 0.0,
-        # omega_c/sqrt(2) - omega_z written through disc: the plain
-        # difference can round to the other sign at the edge
-        margin=0.5 * disc / (omega_c / math.sqrt(2.0) + omega_z),
-        omega_z=omega_z,
-        omega_c=omega_c,
-    )
-
-
 # rows formatted, checked and written at a time, so no string holds a whole table
 _BLOCK_ROWS = 1024
 

@@ -105,6 +105,8 @@ def magnetron_orbit_state(radius: float, modes: ModeFrequencies) -> ParticleStat
     Starting at (r, 0, 0) with velocity (0, -omega_m r, 0) excites the
     magnetron eigenmode only (clockwise ExB rotation).
     """
+    if not -math.inf < radius < math.inf:
+        raise ValueError("radius must be finite")
     return ParticleState(
         position=np.array([radius, 0.0, 0.0]),
         velocity=np.array([0.0, -modes.omega_m * radius, 0.0]),

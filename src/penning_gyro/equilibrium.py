@@ -252,18 +252,16 @@ def relax(n_ions: int, species: IonSpecies, modes: ModeFrequencies,
 
 @dataclass(frozen=True)
 class ShapeStats:
-    alpha_md: float          # z-extent / radial extent; not the cold-fluid alpha
-    r_extent: float          # m
-    z_extent: float          # m
+    alpha: float             # sqrt(2<z^2>/<x^2+y^2>), the cold-fluid alpha
+    r_cl: float              # m, sqrt(5<x^2+y^2>/2), the cold-fluid radius
     spacing_median: float    # m, nearest-neighbor
     spacing_spread: float    # m, interquartile range
     low_confidence: bool     # True for N < 20
 
     def as_dict(self) -> dict:
         return {
-            "alpha_md": self.alpha_md,
-            "r_extent_m": self.r_extent,
-            "z_extent_m": self.z_extent,
+            "alpha": self.alpha,
+            "r_cl_m": self.r_cl,
             "spacing_median_m": self.spacing_median,
             "spacing_iqr_m": self.spacing_spread,
             "low_confidence": self.low_confidence,
@@ -271,16 +269,19 @@ class ShapeStats:
 
 
 def measured_shape(config: IonConfiguration) -> ShapeStats:
-    """Aspect ratio and lattice-spacing statistics of a relaxed crystal."""
+    """Aspect ratio, radius and lattice-spacing statistics of a relaxed crystal.
+
+    alpha and r_cl come from second moments about the trap centre, which for
+    a uniform spheroid are <z^2> = z_cl^2/5 and <x^2+y^2> = 2 r_cl^2/5.
+    """
     pos = config.positions
-    r_extent = float(np.max(np.hypot(pos[:, 0], pos[:, 1])))
-    z_extent = float(np.max(np.abs(pos[:, 2])))
+    rho2 = float(np.mean(pos[:, 0] ** 2 + pos[:, 1] ** 2))
+    z2 = float(np.mean(pos[:, 2] ** 2))
     nn = _nearest_neighbor_distances(pos) if config.ion_count > 1 else np.array([0.0])
     q75, q25 = np.percentile(nn, [75.0, 25.0])
     return ShapeStats(
-        alpha_md=z_extent / r_extent if r_extent > 0.0 else 0.0,
-        r_extent=r_extent,
-        z_extent=z_extent,
+        alpha=math.sqrt(2.0 * z2 / rho2) if rho2 > 0.0 else 0.0,
+        r_cl=math.sqrt(2.5 * rho2),
         spacing_median=float(np.median(nn)),
         spacing_spread=float(q75 - q25),
         low_confidence=config.ion_count < 20,

@@ -15,7 +15,8 @@ from typing import Sequence
 from .core import (
     IonSpecies,
     TrapConfig,
-    validate_stability,
+    axial_frequency,
+    cyclotron_frequency,
     write_csv,
 )
 
@@ -49,21 +50,32 @@ class ModeFrequencies:
     def f_cap_m(self) -> float:
         return self.omega_cap_m / TWO_PI
 
+    @property
+    def stability_margin(self) -> float:
+        """omega_c/sqrt(2) - omega_z in rad/s; positive for every returned mode set."""
+        disc = self.omega_c ** 2 - 2.0 * self.omega_z ** 2
+        # written through disc: the plain difference can round to the other
+        # sign at the edge
+        return 0.5 * disc / (self.omega_c / math.sqrt(2.0) + self.omega_z)
+
 
 def compute_modes(species: IonSpecies, trap: TrapConfig) -> ModeFrequencies:
     """All four characteristic frequencies of a stable configuration.
 
+    The one stability decision: the radial discriminant omega_c^2 - 2 omega_z^2
+    must be positive (at zero the two radial roots meet), else UnstableTrapError.
     Exact identities (used as invariants downstream):
     omega_m + omega_cap_m = omega_c and omega_m * omega_cap_m = omega_z^2/2.
     """
-    report = validate_stability(species, trap)
-    omega_c, omega_z = report.omega_c, report.omega_z
-    if not report.stable:
+    omega_c = cyclotron_frequency(species, trap)
+    omega_z = axial_frequency(species, trap)
+    disc = omega_c ** 2 - 2.0 * omega_z ** 2
+    if not disc > 0.0:
         raise UnstableTrapError(
             f"unstable trap: omega_z={omega_z:.6g} rad/s is not below "
             f"omega_c/sqrt(2)={omega_c / math.sqrt(2):.6g} rad/s"
         )
-    root = math.sqrt(omega_c ** 2 - 2.0 * omega_z ** 2)
+    root = math.sqrt(disc)
     # omega_m written as omega_z^2/(omega_c + root) instead of the textbook
     # (omega_c - root)/2: same number, but free of the catastrophic
     # cancellation that otherwise spoils the product identity at low V

@@ -19,8 +19,8 @@ class OscillatorParams:
     def __post_init__(self):
         if not (0.0 < self.omega_z < math.inf and 0.0 < self.omega_r < math.inf):
             raise ValueError("omega_z and omega_r must be positive and finite")
-        if not self.quality_factor > 0.0:
-            raise ValueError("Q must be positive")
+        if not 0.0 < self.quality_factor <= math.inf:
+            raise ValueError("quality_factor must be positive (math.inf allowed)")
 
     @property
     def zeta(self) -> float:

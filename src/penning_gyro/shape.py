@@ -55,8 +55,10 @@ class SpheroidGeometry:
     density_n: float   # m^-3
 
     def __post_init__(self):
-        if not (self.r_cl > self.z_cl > 0.0):
-            raise ValueError("oblate branch requires r_cl > z_cl > 0")
+        if not (math.inf > self.r_cl > self.z_cl > 0.0):
+            raise ValueError("oblate branch requires finite r_cl > z_cl > 0")
+        if not 0.0 < self.density_n < math.inf:
+            raise ValueError("density_n must be positive and finite")
 
 
 def shape_beta(modes: ModeFrequencies, omega_r: float) -> float:
@@ -215,6 +217,8 @@ class PlanarityReport:
 
 
 def planarity_check(beta: float, delta: float) -> PlanarityReport:
+    if not -math.inf < beta < math.inf:
+        raise ValueError("beta must be finite")
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must lie in [0, 1)")
     return PlanarityReport(delta < beta < PLANARITY_THRESHOLD)

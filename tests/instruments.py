@@ -2,7 +2,7 @@
 
 They stay out of ``penning_gyro`` because no program path runs them: the
 lock-in reads the response of an integrated run, and the voltage edge is
-a closed form that checks ``validate_stability`` from outside.
+a closed form that checks ``compute_modes``' stability decision from outside.
 """
 import math
 

@@ -224,10 +224,8 @@ def test_nbody_crystal_matches_cold_fluid_shape():
     crystal, report = relax(300, CA40, modes,
                             RotatingWallConfig(omega_r=omega_r, delta=0.0),
                             RelaxationConfig(initial_seed=0))
-    pos = crystal.positions
-    rho2 = float(np.mean(pos[:, 0] ** 2 + pos[:, 1] ** 2))
-    radius = math.sqrt(2.5 * rho2)        # uniform spheroid: <x^2+y^2> = 2 r^2/5
-    alpha = math.sqrt(2.0 * float(np.mean(pos[:, 2] ** 2)) / rho2)
+    stats = measured_shape(crystal)
+    radius, alpha = stats.r_cl, stats.alpha
     beta = shape_beta(modes, omega_r)
     r_cl = spheroid_dimensions(300, aspect_ratio_from_beta(beta), beta,
                                modes.omega_z, CA40).r_cl

@@ -44,6 +44,12 @@ def test_constants_json(capsys):
     assert json.loads(out)["elementary_charge"] == 1.602176634e-19
 
 
+def test_constants_text(capsys):
+    code, out, _ = run(["constants"], capsys)
+    assert code == EXIT_OK
+    assert "elementary_charge" in out and "1.602176634e-19" in out
+
+
 def test_unstable_trap_exit_code(capsys):
     code, _, err = run(["--set", "trap_voltage_v=130", "modes"], capsys)
     assert code == EXIT_CONFIG
@@ -108,8 +114,9 @@ def test_malformed_set_flag(capsys):
 
 
 def test_fig3_csv_schema(tmp_path, capsys):
-    code, out, _ = run(["--output-dir", str(tmp_path), "fig", "3"], capsys)
+    code, out, _ = run(["--output-dir", str(tmp_path), "--json", "fig", "3"], capsys)
     assert code == EXIT_OK
+    assert json.loads(out) == {"files": [str(tmp_path / "fig3_freq_difference.csv")]}
     with open(tmp_path / "fig3_freq_difference.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["b_tesla", "v_volts", "fz_minus_fm_hz"]
@@ -173,6 +180,22 @@ def test_budget_writes_json(tmp_path, capsys):
     assert payload["beta"] == pytest.approx(0.0538, abs=0.0005)
     on_disk = json.loads((tmp_path / "budget.json").read_text())
     assert on_disk == payload
+
+
+def test_budget_text(tmp_path, capsys):
+    code, out, _ = run(["--output-dir", str(tmp_path), "budget"], capsys)
+    assert code == EXIT_OK
+    assert "rotation ASD" in out
+    assert (tmp_path / "budget.json").exists()
+
+
+def test_crystal_json(tmp_path, capsys):
+    code, out, _ = run(["--output-dir", str(tmp_path), "--json",
+                        "--set", "n_crystal=20", "crystal"], capsys)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["alpha"] >= 0.0 and payload["r_cl_m"] > 0.0
+    assert payload == json.loads((tmp_path / "crystal_report.json").read_text())
 
 
 def test_crystal_small(tmp_path, capsys):

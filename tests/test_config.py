@@ -28,6 +28,8 @@ def test_parse_unknown_field_reports_line():
 def test_parse_bad_number():
     with pytest.raises(ConfigError, match="n_crystal"):
         parse_config_text("n_crystal = lots\n")
+    with pytest.raises(ConfigError, match="trap_voltage_v.*expects a number"):
+        parse_config_text("trap_voltage_v = lots\n")
     with pytest.raises(ConfigError, match="finite"):
         parse_config_text("trap_voltage_v = inf\n")
 

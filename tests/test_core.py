@@ -12,14 +12,15 @@ from penning_gyro.core import (
     CA40,
     CONST,
     IonSpecies,
+    RotationInput,
     TrapConfig,
     axial_frequency,
     cyclotron_frequency,
-    validate_stability,
     write_csv,
 )
-from penning_gyro.dynamics import IntegratorConfig
+from penning_gyro.dynamics import IntegratorConfig, magnetron_orbit_state
 from penning_gyro.equilibrium import RelaxationConfig
+from penning_gyro.modes import UnstableTrapError, compute_modes
 from penning_gyro.response import (
     OscillatorParams,
     rotation_scale_factor,
@@ -38,6 +39,7 @@ from penning_gyro.sensing import (
 )
 from penning_gyro.shape import (
     RotatingWallConfig,
+    SpheroidGeometry,
     axial_depolarization,
     coulomb_trap_length,
     planarity_check,
@@ -47,6 +49,7 @@ from penning_gyro.shape import (
 from instruments import max_stable_voltage
 
 OSC = OscillatorParams(omega_z=1.55e6, omega_r=1.55e6, quality_factor=1e6)
+MODES10 = compute_modes(CA40, TrapConfig(1.0, 10.0, 0.01))
 
 
 def test_constants_pinned_values():
@@ -125,6 +128,20 @@ def test_species_validation():
     (lambda: coulomb_trap_length(CA40, math.inf), "omega_z"),
     (lambda: coulomb_trap_length(CA40, 0.0), "omega_z"),
     (lambda: planarity_check(0.05, -math.inf), "delta"),
+    # a non-finite beta would read as a silent planarity failure
+    (lambda: planarity_check(math.nan, 0.01), "beta"),
+    (lambda: planarity_check(math.inf, 0.01), "beta"),
+    (lambda: planarity_check(-math.inf, 0.01), "beta"),
+    (lambda: magnetron_orbit_state(math.nan, MODES10), "radius"),
+    (lambda: magnetron_orbit_state(math.inf, MODES10), "radius"),
+    (lambda: magnetron_orbit_state(-math.inf, MODES10), "radius"),
+    (lambda: OscillatorParams(1.55e6, 1.55e6, math.nan), "quality_factor"),
+    (lambda: OscillatorParams(1.55e6, 1.55e6, -math.inf), "quality_factor"),
+    (lambda: SpheroidGeometry(r_cl=math.inf, z_cl=1e-5, density_n=1e12), "r_cl"),
+    (lambda: SpheroidGeometry(r_cl=1e-4, z_cl=1e-5, density_n=math.nan), "density_n"),
+    (lambda: SpheroidGeometry(r_cl=1e-4, z_cl=1e-5, density_n=math.inf), "density_n"),
+    (lambda: SpheroidGeometry(r_cl=1e-4, z_cl=1e-5, density_n=0.0), "density_n"),
+    (lambda: RotationInput(omega_x=math.nan), "omega_x"),
     # Q = inf is allowed, but its gain at resonance is unbounded
     (lambda: transfer_gain(OscillatorParams(1.55e6, 1.55e6, math.inf)), "quality_factor"),
     # A_z's closed form holds for an oblate spheroid, 0 < alpha < 1
@@ -151,7 +168,13 @@ def test_species_validation():
         "spheroid_beta_nan", "spheroid_beta_minus_half", "spheroid_omega_z_inf",
         "spheroid_omega_z_minus_inf", "spheroid_omega_z_nan", "coulomb_trap_length_omega_z_nan",
         "coulomb_trap_length_omega_z_inf", "coulomb_trap_length_omega_z_zero",
-        "planarity_delta_minus_inf", "transfer_gain_undamped_resonance",
+        "planarity_delta_minus_inf", "planarity_beta_nan", "planarity_beta_inf",
+        "planarity_beta_minus_inf", "magnetron_orbit_radius_nan", "magnetron_orbit_radius_inf",
+        "magnetron_orbit_radius_minus_inf", "oscillator_quality_factor_nan",
+        "oscillator_quality_factor_minus_inf", "spheroid_geometry_r_cl_inf",
+        "spheroid_geometry_density_nan", "spheroid_geometry_density_inf",
+        "spheroid_geometry_density_zero", "rotation_input_omega_x_nan",
+        "transfer_gain_undamped_resonance",
         "axial_depolarization_alpha_nan", "axial_depolarization_alpha_inf",
         "axial_depolarization_alpha_one", "axial_depolarization_alpha_two",
         "axial_depolarization_alpha_minus_half", "axial_depolarization_alpha_zero"])
@@ -183,10 +206,9 @@ def test_axial_frequency_scales_with_sqrt_v():
 
 
 def test_stability_margin_sign():
-    stable = validate_stability(CA40, TrapConfig(1.0, 100.0, 0.01))
-    assert stable.stable and stable.margin > 0
-    unstable = validate_stability(CA40, TrapConfig(1.0, 130.0, 0.01))
-    assert not unstable.stable and unstable.margin < 0
+    assert compute_modes(CA40, TrapConfig(1.0, 100.0, 0.01)).stability_margin > 0
+    with pytest.raises(UnstableTrapError):
+        compute_modes(CA40, TrapConfig(1.0, 130.0, 0.01))
 
 
 def test_max_stable_voltage_near_120v():
@@ -198,10 +220,10 @@ def test_max_stable_voltage_near_120v():
        st.floats(min_value=0.01, max_value=0.99))
 def test_max_stable_voltage_is_the_edge(b, frac):
     v_max = max_stable_voltage(CA40, b, 0.01)
-    below = validate_stability(CA40, TrapConfig(b, frac * v_max, 0.01))
-    above = validate_stability(CA40, TrapConfig(b, v_max / frac, 0.01))
-    assert below.stable
-    assert not above.stable
+    below = compute_modes(CA40, TrapConfig(b, frac * v_max, 0.01))
+    assert below.stability_margin > 0
+    with pytest.raises(UnstableTrapError):
+        compute_modes(CA40, TrapConfig(b, v_max / frac, 0.01))
 
 
 SEPARATORS = ',"\r\n'

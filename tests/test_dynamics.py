@@ -6,6 +6,7 @@ import pytest
 
 from penning_gyro.core import RotationInput, TrapConfig
 from penning_gyro.dynamics import (
+    IntegrationError,
     IntegratorConfig,
     ParticleState,
     Trajectory,
@@ -171,6 +172,23 @@ def test_spectrum_recovers_mode_frequencies(ca40, trap10, modes10):
     found = sorted(p.frequency for p in x_peaks[:2])
     assert found[0] == pytest.approx(modes10.f_m, abs=2 * resolution)
     assert found[1] == pytest.approx(modes10.f_cap_m, abs=2 * resolution)
+
+
+def test_spectrum_of_silence_is_empty():
+    t = np.arange(5000) * 1e-6
+    silent = Trajectory(times=t, positions=np.zeros((t.size, 3)),
+                        velocities=np.zeros((t.size, 3)))
+    assert extract_spectrum(silent, "z") == []
+
+
+def test_unstable_time_step_raises(ca40, trap10, modes10):
+    # at 100x the default step RK4's |R(h lambda)| is about 2 per step, so
+    # the state overflows within the run
+    dt = 100 * default_time_step(ca40, trap10)
+    cfg = IntegratorConfig(time_step=dt, total_time=2000 * dt)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(IntegrationError, match="non-finite state"):
+        integrate(magnetron_orbit_state(25e-6, modes10), ca40, trap10, NO_ROTATION, cfg)
 
 
 def test_periodogram_needs_enough_samples(ca40, trap10, modes10):

@@ -250,6 +250,11 @@ def test_relax_rejects_wall_dominated_regime(ca40, modes100):
         relax(5, ca40, modes100, wall)
 
 
+def test_relax_needs_an_ion(ca40, modes100, wall100):
+    with pytest.raises(ValueError, match="at least one ion"):
+        relax(0, ca40, modes100, wall100)
+
+
 def test_hexagon_plus_center(ca40, modes100):
     wall = RotatingWallConfig(omega_r=modes100.omega_z, delta=0.0)
     config, report = relax(7, ca40, modes100, wall)
@@ -263,10 +268,22 @@ def test_measured_shape_stats():
     pos = np.array([[1.0, 0.0, 0.1], [-1.0, 0.0, -0.1],
                     [0.0, 1.0, 0.05], [0.0, -1.0, -0.05]])
     stats = measured_shape(IonConfiguration(pos))
-    assert stats.r_extent == pytest.approx(1.0)
-    assert stats.z_extent == pytest.approx(0.1)
-    assert stats.alpha_md == pytest.approx(0.1)
+    # <x^2+y^2> = 1 and <z^2> = 0.00625
+    assert stats.r_cl == pytest.approx(math.sqrt(2.5))
+    assert stats.alpha == pytest.approx(math.sqrt(0.0125))
     assert stats.low_confidence
+
+
+def test_measured_shape_of_a_uniform_spheroid():
+    # points drawn uniformly inside an oblate spheroid of known alpha and r_cl
+    rng = np.random.default_rng(7)
+    ball = rng.normal(size=(20000, 3))
+    ball *= (rng.random(20000) ** (1.0 / 3.0) / np.linalg.norm(ball, axis=1))[:, None]
+    r_cl, alpha = 1e-4, 0.2
+    stats = measured_shape(IonConfiguration(ball * [r_cl, r_cl, alpha * r_cl]))
+    assert stats.alpha == pytest.approx(alpha, rel=0.02)
+    assert stats.r_cl == pytest.approx(r_cl, rel=0.01)
+    assert not stats.low_confidence
 
 
 def test_configuration_csv_schema(tmp_path):

@@ -11,6 +11,7 @@ from penning_gyro.shape import (
     AspectRatioBracketError,
     BrentConvergenceError,
     RotatingWallConfig,
+    SpheroidGeometry,
     WallFrequencyError,
     aspect_ratio_from_beta,
     axial_depolarization,
@@ -214,6 +215,9 @@ def test_spheroid_validation(modes100):
         spheroid_dimensions(0, 0.16, 0.05, modes100.omega_z, CA40)
     with pytest.raises(ValueError):
         spheroid_dimensions(100, -0.1, 0.05, modes100.omega_z, CA40)
+    for r_cl in (1e-5, 1e-6):  # a sphere and a prolate spheroid
+        with pytest.raises(ValueError, match="r_cl > z_cl"):
+            SpheroidGeometry(r_cl=r_cl, z_cl=1e-5, density_n=1e12)
 
 
 def test_planarity_check_margins():

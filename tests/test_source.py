@@ -123,7 +123,7 @@ def test_lazy_names_are_the_modules_objects():
 def test_dir_lists_every_public_name():
     public = {name for name in dir(penning_gyro) if not name.startswith("_")
               and not inspect.ismodule(getattr(penning_gyro, name))}
-    assert len(public) == 46
+    assert len(public) == 44
     assert {name for names in LAZY_NAMES.values() for name in names} <= public
 
 
