@@ -13,7 +13,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
-from .core import CA40, IonSpecies, TrapConfig
+from .core import CA40, IonSpecies, TrapConfig, require_finite
 from .modes import ModeFrequencies, compute_modes
 from .shape import RotatingWallConfig
 
@@ -39,6 +39,9 @@ class RunConfig:
     cycle_s: float = 0.05
     seed: int = 0
 
+    def __post_init__(self):
+        require_finite(self, _FLOAT_FIELDS)
+
     def ion(self) -> IonSpecies:
         return CA40
 
@@ -55,6 +58,7 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FLOAT_FIELDS = [name for name, kind in _FIELD_TYPES.items() if kind == "float"]
 
 
 def _coerce(key: str, raw: str):

@@ -14,6 +14,15 @@ from itertools import islice
 from typing import Iterable, Sequence
 
 
+def require_finite(record, names: Iterable[str]) -> None:
+    """Raise a ValueError naming the first of the record's fields that is
+    NaN or infinite; None, the gap of a ``float | None`` field, passes."""
+    for name in names:
+        value = getattr(record, name)
+        if value is not None and not -math.inf < value < math.inf:
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Pinned CODATA-2018 values. Printed by the CLI ``constants`` command
@@ -24,6 +33,10 @@ class PhysicalConstants:
     vacuum_permittivity: float = 8.8541878128e-12  # F/m
     reduced_planck: float = 1.054571817e-34        # J s (exact)
     euler_number: float = math.e
+
+    def __post_init__(self):
+        require_finite(self, ("elementary_charge", "atomic_mass_unit", "vacuum_permittivity",
+                              "reduced_planck", "euler_number"))
 
 
 CONST = PhysicalConstants()

@@ -24,6 +24,7 @@ from .core import (
     RotationInput,
     TrapConfig,
     axial_frequency_squared,
+    require_finite,
     write_csv,
 )
 from .modes import ModeFrequencies, compute_modes
@@ -180,6 +181,9 @@ def periodogram(traj: Trajectory, coordinate: str = "z"):
 class SpectralPeak:
     frequency: float  # Hz
     power: float
+
+    def __post_init__(self):
+        require_finite(self, ("frequency", "power"))
 
 
 def extract_spectrum(traj: Trajectory, coordinate: str = "z") -> list[SpectralPeak]:

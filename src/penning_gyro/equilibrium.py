@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IonSpecies, NumericalError, write_csv
+from .core import IonSpecies, NumericalError, require_finite, write_csv
 from .modes import ModeFrequencies
 from .shape import (
     RotatingWallConfig,
@@ -86,6 +86,9 @@ class ConvergenceReport:
     max_force: float          # N, largest residual component
     iterations: int
     restarts_used: int        # always 0 (relax runs one descent); perfbench reads it
+
+    def __post_init__(self):
+        require_finite(self, ("final_energy", "max_force"))
 
     def as_dict(self) -> dict:
         return {
@@ -226,12 +229,14 @@ def relax(n_ions: int, species: IonSpecies, modes: ModeFrequencies,
         value, grad = energy_gradient(x.reshape(n_ions, 3), kx, ky)
         return value, grad.reshape(-1)
 
-    # gtol = tol/10 makes L-BFGS stop with the largest gradient component
-    # well below tol; convergence is decided against tol below.  res.fun and
-    # res.jac are the energy and gradient at res.x.
+    # L-BFGS stops once its largest gradient component is at most gtol, and
+    # convergence is decided below on that same gradient (res.jac is the
+    # gradient at res.x), so gtol needs no margin against the solver.  The
+    # factor 2 is the margin for the strict `< tol` and for a recheck at
+    # res.x * a0 / a0, which moves the gradient by round-off only.
     res = minimize(fun, u.reshape(-1), jac=True, method="L-BFGS-B",
                    options={"maxiter": _MAX_ITERATIONS, "ftol": 1e-18,
-                            "gtol": tol / 10.0, "maxcor": 20})
+                            "gtol": tol / 2.0, "maxcor": 20})
     max_grad = float(np.max(np.abs(res.jac)))
     converged = max_grad < tol
     max_force = max_grad * f_scale
@@ -257,6 +262,9 @@ class ShapeStats:
     spacing_median: float    # m, nearest-neighbor
     spacing_spread: float    # m, interquartile range
     low_confidence: bool     # True for N < 20
+
+    def __post_init__(self):
+        require_finite(self, ("alpha", "r_cl", "spacing_median", "spacing_spread"))
 
     def as_dict(self) -> dict:
         return {

@@ -17,6 +17,7 @@ from .core import (
     TrapConfig,
     axial_frequency,
     cyclotron_frequency,
+    require_finite,
     write_csv,
 )
 
@@ -33,6 +34,9 @@ class ModeFrequencies:
     omega_z: float       # axial, rad/s
     omega_m: float       # magnetron, rad/s
     omega_cap_m: float   # modified cyclotron, rad/s
+
+    def __post_init__(self):
+        require_finite(self, ("omega_c", "omega_z", "omega_m", "omega_cap_m"))
 
     @property
     def f_c(self) -> float:
@@ -94,6 +98,9 @@ class SweepPoint:
     voltage: float              # V
     fz_minus_fm: float | None   # Hz; None marks an unstable gap point
 
+    def __post_init__(self):
+        require_finite(self, ("b_field", "voltage", "fz_minus_fm"))
+
 
 def freq_difference_sweep(
     species: IonSpecies,
@@ -109,6 +116,8 @@ def freq_difference_sweep(
     """
     if len(b_list) == 0 or len(v_grid) == 0:
         raise ValueError("sweep grid must be non-empty")
+    if not 0.0 < z0 < math.inf:
+        raise ValueError("z0 must be positive and finite")
     points: list[SweepPoint] = []
     any_stable = False
     for b in sorted(b_list):

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .core import CONST
+from .core import CONST, require_finite
 
 SECONDS_PER_SQRT_HOUR = 60.0  # sqrt(3600 s/h)
 
@@ -118,6 +118,11 @@ class SensitivityBudget:
     arw: float                      # rad/sqrt(h)
     repetitions_per_s: float        # Hz
     cycle_time: float               # s
+
+    def __post_init__(self):
+        require_finite(self, ("theta_max", "delta_zc_single_shot", "amplitude_asd",
+                              "scale_factor", "rotation_asd", "arw", "repetitions_per_s",
+                              "cycle_time"))
 
     def as_dict(self) -> dict:
         return {

@@ -24,7 +24,7 @@ import math
 from dataclasses import astuple, dataclass
 from typing import Sequence
 
-from .core import K_COULOMB, IonSpecies, NumericalError, write_csv
+from .core import K_COULOMB, IonSpecies, NumericalError, require_finite, write_csv
 from .modes import ModeFrequencies
 
 
@@ -233,6 +233,10 @@ class ShapeSweepRow:
     alpha: float | None   # None when beta leaves the oblate branch
     r_cl: float | None
     z_cl: float | None
+
+    def __post_init__(self):
+        require_finite(self, ("omega_r", "omega_r_over_omega_z", "normalized_freq", "beta",
+                              "alpha", "r_cl", "z_cl"))
 
 
 def shape_sweep(species: IonSpecies, modes: ModeFrequencies,

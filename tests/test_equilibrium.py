@@ -221,6 +221,19 @@ def test_forces_vanish_at_equilibrium(ca40, modes100, wall100):
     assert np.max(np.abs(f)) < cfg.force_tolerance
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_relax_stops_at_half_the_tolerance_on_the_rechecked_force(seed, ca40, modes100,
+                                                                   wall100):
+    # L-BFGS stops at tol/2 and convergence is decided on its own gradient;
+    # a recheck at the returned positions must see the same largest force
+    cfg = RelaxationConfig(initial_seed=seed)
+    config, report = relax(100, ca40, modes100, wall100, cfg)
+    assert report.converged
+    assert report.max_force <= cfg.force_tolerance / 2.0
+    rechecked = float(np.max(np.abs(forces(config, ca40, modes100, wall100))))
+    assert rechecked == pytest.approx(report.max_force, rel=1e-9, abs=0)
+
+
 def test_relax_deterministic_for_fixed_seed(ca40, modes100, wall100):
     cfg = RelaxationConfig(initial_seed=5)
     c1, _ = relax(20, ca40, modes100, wall100, cfg)
