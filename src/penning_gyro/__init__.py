@@ -37,9 +37,7 @@ from .sensing import (
     angle_random_walk,
     averaged_sensitivity,
     build_budget,
-    population_difference,
     precession_angle,
-    ramsey_population,
     rotation_sensitivity,
     single_shot_amplitude_resolution,
 )

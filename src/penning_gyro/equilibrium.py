@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -71,12 +72,8 @@ _MAX_ITERATIONS = 20000
 
 @dataclass(frozen=True)
 class RelaxationConfig:
-    force_tolerance: float = 1e-21   # N, per component
+    force_tolerance: ClassVar[float] = 1e-21   # N, per component
     initial_seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.force_tolerance < math.inf:
-            raise ValueError("force_tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Spin-dependent-force Ramsey readout chain and the sensitivity budget.
 
-The spin ensemble is handled through closed-form population statistics;
-the drive is taken exactly on the beat resonance and in phase with the
-force, so the precession angle is theta = (F0/hbar) Z_c tau.
+The spin readout enters as one closed form, the amplitude at which the paired
+Ramsey measurement reaches unit signal-to-noise; the drive is taken exactly on
+the beat resonance, in phase with the force: theta = (F0/hbar) Z_c tau.
 The "e" in the single-shot resolution is Euler's number: it enters as
 exp(Gamma tau) evaluated at the optimum Gamma tau = 1, not as the
 elementary charge.
@@ -47,31 +47,6 @@ def precession_angle(odf: ODFParams, zc: float) -> float:
     if not -math.inf < zc < math.inf:
         raise ValueError("zc must be finite")
     return (odf.f0 / CONST.reduced_planck) * zc * odf.tau
-
-
-def ramsey_population(theta: float, gamma: float, tau: float) -> float:
-    """Bright-state population (1 - exp(-Gamma tau) cos(theta)) / 2."""
-    if not -math.inf < theta < math.inf:
-        raise ValueError("theta must be finite")
-    if not (0.0 <= gamma < math.inf and 0.0 <= tau < math.inf):
-        raise ValueError("gamma and tau must be non-negative and finite")
-    return 0.5 * (1.0 - math.exp(-gamma * tau) * math.cos(theta))
-
-
-def population_difference(theta_max: float, gamma: float, tau: float) -> float:
-    """Background-free signal from the delta=0 / delta=pi measurement pair."""
-    if not -math.inf < theta_max < math.inf:
-        raise ValueError("theta_max must be finite")
-    if not (0.0 <= gamma < math.inf and 0.0 <= tau < math.inf):
-        raise ValueError("gamma and tau must be non-negative and finite")
-    return math.exp(-gamma * tau) * math.sin(theta_max)
-
-
-def population_snr(ens: EnsembleSpec, odf: ODFParams, zc: float) -> float:
-    """Signal-to-noise of the paired population measurement at amplitude zc."""
-    theta_max = precession_angle(odf, zc)
-    return population_difference(theta_max, odf.gamma, odf.tau) * math.sqrt(
-        2.0 * ens.n_ions)
 
 
 def single_shot_amplitude_resolution(ens: EnsembleSpec, odf: ODFParams) -> float:

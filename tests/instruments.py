@@ -1,8 +1,10 @@
 """Measuring instruments the tests apply to the package's outputs.
 
 They stay out of ``penning_gyro`` because no program path runs them: the
-lock-in reads the response of an integrated run, and the voltage edge is
-a closed form that checks ``compute_modes``' stability decision from outside.
+lock-in reads the response of an integrated run, the voltage edge is a
+closed form that checks ``compute_modes``' stability decision from outside,
+and the Ramsey population model is the reference that the budget's closed
+form, ``single_shot_amplitude_resolution``, is checked against.
 """
 import math
 
@@ -11,6 +13,7 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from penning_gyro.dynamics import Trajectory
+from penning_gyro.sensing import EnsembleSpec, ODFParams, precession_angle
 
 
 def driven_amplitude(traj: Trajectory, drive_omega: float) -> float:
@@ -43,3 +46,28 @@ def max_stable_voltage(species, b_field: float, z0: float) -> float:
     m z0^2 omega_c^2 / (2q)."""
     omega_c = abs(species.charge) * b_field / species.mass
     return species.mass * z0 ** 2 * omega_c ** 2 / (2.0 * abs(species.charge))
+
+
+def ramsey_population(theta: float, gamma: float, tau: float) -> float:
+    """Bright-state population (1 - exp(-Gamma tau) cos(theta)) / 2."""
+    if not -math.inf < theta < math.inf:
+        raise ValueError("theta must be finite")
+    if not (0.0 <= gamma < math.inf and 0.0 <= tau < math.inf):
+        raise ValueError("gamma and tau must be non-negative and finite")
+    return 0.5 * (1.0 - math.exp(-gamma * tau) * math.cos(theta))
+
+
+def population_difference(theta_max: float, gamma: float, tau: float) -> float:
+    """Background-free signal from the delta=0 / delta=pi measurement pair."""
+    if not -math.inf < theta_max < math.inf:
+        raise ValueError("theta_max must be finite")
+    if not (0.0 <= gamma < math.inf and 0.0 <= tau < math.inf):
+        raise ValueError("gamma and tau must be non-negative and finite")
+    return math.exp(-gamma * tau) * math.sin(theta_max)
+
+
+def population_snr(ens: EnsembleSpec, odf: ODFParams, zc: float) -> float:
+    """Signal-to-noise of the paired population measurement at amplitude zc."""
+    theta_max = precession_angle(odf, zc)
+    return population_difference(theta_max, odf.gamma, odf.tau) * math.sqrt(
+        2.0 * ens.n_ions)

@@ -1,5 +1,4 @@
 import csv
-import functools
 import json
 import math
 import os
@@ -211,8 +210,7 @@ def test_crystal_small(tmp_path, capsys):
 
 def test_crystal_non_convergence_writes_outputs(tmp_path, capsys, monkeypatch):
     # a force floor no descent reaches takes the ConvergenceError branch
-    monkeypatch.setattr("penning_gyro.equilibrium.RelaxationConfig",
-                        functools.partial(RelaxationConfig, force_tolerance=1e-30))
+    monkeypatch.setattr(RelaxationConfig, "force_tolerance", 1e-30)
     code, _, err = run(["--output-dir", str(tmp_path), "--set", "n_crystal=5",
                         "crystal"], capsys)
     assert code == EXIT_NUMERICAL

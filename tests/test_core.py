@@ -19,7 +19,6 @@ from penning_gyro.core import (
     write_csv,
 )
 from penning_gyro.dynamics import IntegratorConfig, magnetron_orbit_state
-from penning_gyro.equilibrium import RelaxationConfig
 from penning_gyro.modes import UnstableTrapError, compute_modes
 from penning_gyro.response import (
     OscillatorParams,
@@ -32,9 +31,7 @@ from penning_gyro.sensing import (
     ODFParams,
     angle_random_walk,
     averaged_sensitivity,
-    population_difference,
     precession_angle,
-    ramsey_population,
     rotation_sensitivity,
 )
 from penning_gyro.shape import (
@@ -46,7 +43,12 @@ from penning_gyro.shape import (
     spheroid_dimensions,
 )
 
-from instruments import max_stable_voltage
+from instruments import (
+    max_stable_voltage,
+    population_difference,
+    population_snr,
+    ramsey_population,
+)
 
 OSC = OscillatorParams(omega_z=1.55e6, omega_r=1.55e6, quality_factor=1e6)
 MODES10 = compute_modes(CA40, TrapConfig(1.0, 10.0, 0.01))
@@ -89,7 +91,6 @@ def test_species_validation():
     lambda: ODFParams(f0=1e-22, tau=0.01, gamma=math.inf),
     lambda: EnsembleSpec(n_ions=math.inf),
     lambda: IntegratorConfig(time_step=1e-9, total_time=math.inf),
-    lambda: RelaxationConfig(force_tolerance=math.inf),
     lambda: OscillatorParams(omega_z=math.inf, omega_r=1.55e6, quality_factor=1e6),
     lambda: OscillatorParams(omega_z=1.55e6, omega_r=math.inf, quality_factor=1e6),
     lambda: RotatingWallConfig(omega_r=math.inf, delta=0.01),
@@ -115,6 +116,19 @@ def test_species_validation():
     (lambda: ramsey_population(0.1, 100.0, math.nan), "tau"),
     (lambda: population_difference(0.1, 100.0, math.nan), "tau"),
     (lambda: ramsey_population(0.1, 0.0, math.inf), "tau"),
+    (lambda: ramsey_population(math.inf, 100.0, 0.01), "theta"),
+    (lambda: ramsey_population(-math.inf, 100.0, 0.01), "theta"),
+    (lambda: ramsey_population(0.1, math.inf, 0.01), "gamma"),
+    (lambda: ramsey_population(0.1, -math.inf, 0.01), "gamma"),
+    (lambda: ramsey_population(0.1, 100.0, -math.inf), "tau"),
+    (lambda: population_difference(math.inf, 100.0, 0.01), "theta_max"),
+    (lambda: population_difference(-math.inf, 100.0, 0.01), "theta_max"),
+    (lambda: population_difference(0.1, math.inf, 0.01), "gamma"),
+    (lambda: population_difference(0.1, -math.inf, 0.01), "gamma"),
+    (lambda: population_difference(0.1, 100.0, math.inf), "tau"),
+    (lambda: population_difference(0.1, 100.0, -math.inf), "tau"),
+    (lambda: population_snr(EnsembleSpec(10000), ODFParams(f0=1e-22, tau=0.01, gamma=100.0),
+                            math.nan), "zc"),
     # shape inputs: each must be named, not fail later as a division by
     # zero or as the spheroid's r_cl > z_cl > 0
     (lambda: spheroid_dimensions(1000, 0.07, math.inf, 1.55e6, CA40), "beta"),
@@ -154,7 +168,7 @@ def test_species_validation():
 ], ids=["species_charge", "odf_gamma", "integrator_total_time", "ensemble_n_ions",
         "trap_b_field_inf", "trap_voltage_inf", "trap_z0_inf", "species_mass_inf",
         "odf_f0_inf", "odf_tau_inf", "odf_gamma_inf", "ensemble_n_ions_inf",
-        "integrator_total_time_inf", "relaxation_force_tolerance_inf",
+        "integrator_total_time_inf",
         "oscillator_omega_z_inf", "oscillator_omega_r_inf", "wall_omega_r_inf",
         "averaged_sensitivity_cycle_time_inf", "rotation_sensitivity_scale_factor_inf",
         "z_amplitude_y_amp_nan", "rotation_scale_factor_r_cl_inf",
@@ -164,7 +178,13 @@ def test_species_validation():
         "population_difference_gamma_nan", "ramsey_population_gamma_nan",
         "rotation_sensitivity_amplitude_asd_nan", "averaged_sensitivity_single_shot_inf",
         "ramsey_population_tau_nan", "population_difference_tau_nan",
-        "ramsey_population_tau_inf", "spheroid_beta_inf", "spheroid_beta_minus_inf",
+        "ramsey_population_tau_inf", "ramsey_population_theta_inf",
+        "ramsey_population_theta_minus_inf", "ramsey_population_gamma_inf",
+        "ramsey_population_gamma_minus_inf", "ramsey_population_tau_minus_inf",
+        "population_difference_theta_max_inf", "population_difference_theta_max_minus_inf",
+        "population_difference_gamma_inf", "population_difference_gamma_minus_inf",
+        "population_difference_tau_inf", "population_difference_tau_minus_inf",
+        "population_snr_zc_nan", "spheroid_beta_inf", "spheroid_beta_minus_inf",
         "spheroid_beta_nan", "spheroid_beta_minus_half", "spheroid_omega_z_inf",
         "spheroid_omega_z_minus_inf", "spheroid_omega_z_nan", "coulomb_trap_length_omega_z_nan",
         "coulomb_trap_length_omega_z_inf", "coulomb_trap_length_omega_z_zero",

@@ -41,7 +41,6 @@ BASELINES = {
     "dynamics.IntegratorConfig": {"time_step": 1e-9, "total_time": 1e-6},
     "dynamics.magnetron_orbit_state": {"radius": 25e-6, "modes": MODES},
     "dynamics.SpectralPeak": {"frequency": 1e5, "power": 1.0},
-    "equilibrium.RelaxationConfig": {"force_tolerance": 1e-21},
     "equilibrium.ConvergenceReport": {"converged": True, "final_energy": 1e-20,
                                       "max_force": 1e-22, "iterations": 10,
                                       "restarts_used": 0},
@@ -56,9 +55,6 @@ BASELINES = {
     "response.rotation_scale_factor": {"r_cl": 2.2e-4, "params": OSC},
     "sensing.ODFParams": dataclasses.asdict(ODF),
     "sensing.precession_angle": {"odf": ODF, "zc": 1e-9},
-    "sensing.ramsey_population": {"theta": 0.1, "gamma": 100.0, "tau": 0.01},
-    "sensing.population_difference": {"theta_max": 0.1, "gamma": 100.0, "tau": 0.01},
-    "sensing.population_snr": {"ens": ENSEMBLE, "odf": ODF, "zc": 1e-9},
     "sensing.averaged_sensitivity": {"single_shot": 1e-9, "cycle_time": 0.05},
     "sensing.rotation_sensitivity": {"amplitude_asd": 1e-12, "scale_factor": 1e-3},
     "sensing.angle_random_walk": {"rotation_asd": 1e-9},

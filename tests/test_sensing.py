@@ -12,13 +12,12 @@ from penning_gyro.sensing import (
     averaged_sensitivity,
     budget_json,
     build_budget,
-    population_difference,
-    population_snr,
     precession_angle,
-    ramsey_population,
     rotation_sensitivity,
     single_shot_amplitude_resolution,
 )
+
+from instruments import population_difference, population_snr, ramsey_population
 
 # canonical readout point: N = 1e4 spins, 100 yN, 10 ms, Gamma tau = 1
 ODF = ODFParams(f0=1e-22, tau=0.01, gamma=100.0)

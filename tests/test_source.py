@@ -123,7 +123,7 @@ def test_lazy_names_are_the_modules_objects():
 def test_dir_lists_every_public_name():
     public = {name for name in dir(penning_gyro) if not name.startswith("_")
               and not inspect.ismodule(getattr(penning_gyro, name))}
-    assert len(public) == 44
+    assert len(public) == 42
     assert {name for names in LAZY_NAMES.values() for name in names} <= public
 
 
@@ -143,7 +143,7 @@ def test_no_module_imports_csv():
     assert found == []
 
 
-CALLER_DIRS = ("src", "tests", "scripts", "perfbench")
+CALLER_DIRS = ("src", "scripts", "perfbench")
 
 
 def _defaulted_parameters(func: ast.FunctionDef) -> list[tuple[str, int | None]]:
@@ -154,6 +154,20 @@ def _defaulted_parameters(func: ast.FunctionDef) -> list[tuple[str, int | None]]
     return params + [(arg.arg, None) for arg, default in
                      zip(func.args.kwonlyargs, func.args.kw_defaults)
                      if default is not None]
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any((deco.func if isinstance(deco, ast.Call) else deco).id == "dataclass"
+               for deco in cls.decorator_list)
+
+
+def _defaulted_fields(cls: ast.ClassDef) -> list[tuple[str, int]]:
+    """(name, position) of each dataclass field that has a default; a
+    ClassVar is a class constant, not a field."""
+    fields = [node for node in cls.body if isinstance(node, ast.AnnAssign)
+              and not (isinstance(node.annotation, ast.Subscript)
+                       and node.annotation.value.id == "ClassVar")]
+    return [(node.target.id, i) for i, node in enumerate(fields) if node.value is not None]
 
 
 def _calls(tree: ast.Module):
@@ -169,30 +183,45 @@ def _calls(tree: ast.Module):
         yield (name, math.inf if starred else len(node.args), keywords)
 
 
+# the pinned CODATA values: fields so that `constants` prints them all,
+# defaults because no run should set them
+CONSTANT_RECORDS = {"PhysicalConstants"}
+
+
 def test_every_default_is_passed_by_some_caller():
-    # an option that no caller sets is a constant in disguise
+    # an option that only tests set, or none, is a constant in disguise;
+    # this covers the defaulted parameters of top-level functions and the
+    # defaulted fields of dataclasses, whose constructor is a call too
     calls = {}
     for directory in CALLER_DIRS:
         for path in (ROOT / directory).rglob("*.py"):
             for name, n_args, keywords in _calls(ast.parse(path.read_text())):
                 calls.setdefault(name, []).append((n_args, keywords))
-    unset = []
+    unset, records = [], set()
     for path in sorted((ROOT / "src" / "penning_gyro").glob("*.py")):
-        for func in ast.parse(path.read_text()).body:
-            if not isinstance(func, ast.FunctionDef):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                defaults = _defaulted_parameters(node)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                records.add(node.name)
+                if node.name in CONSTANT_RECORDS:
+                    continue
+                defaults = _defaulted_fields(node)
+            else:
                 continue
-            for param, position in _defaulted_parameters(func):
+            for param, position in defaults:
                 passed = any(param in keywords or None in keywords
                              or (position is not None and n_args > position)
-                             for n_args, keywords in calls.get(func.name, []))
+                             for n_args, keywords in calls.get(node.name, []))
                 if not passed:
-                    unset.append(f"{path.name}:{func.name}({param})")
+                    unset.append(f"{path.name}:{node.name}({param})")
     assert len(calls) > 100  # the walk found the callers
+    assert len(records) > 20 and CONSTANT_RECORDS <= records  # ... and the dataclasses
     assert unset == []
 
 
 # public functions that only tests call, as references for the chain's checks
-TEST_REFERENCES = {"axial_depolarization", "population_snr", "ramsey_population"}
+TEST_REFERENCES = {"axial_depolarization"}
 
 
 def _referenced_names(tree: ast.Module) -> set[str]:
