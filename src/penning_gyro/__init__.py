@@ -29,18 +29,8 @@ from .shape import (
     shape_sweep,
     spheroid_dimensions,
 )
-from .response import OscillatorParams, transfer_gain, z_amplitude
-from .sensing import (
-    EnsembleSpec,
-    ODFParams,
-    SensitivityBudget,
-    angle_random_walk,
-    averaged_sensitivity,
-    build_budget,
-    precession_angle,
-    rotation_sensitivity,
-    single_shot_amplitude_resolution,
-)
+from .response import OscillatorParams
+from .sensing import EnsembleSpec, ODFParams, SensitivityBudget, build_budget
 
 __version__ = "0.1.0"
 

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure:
-a ``core.NumericalError`` or an ``ArithmeticError``.
+a ``core.NumericalError`` or an ``ArithmeticError``.  A file that cannot be
+read or written (an ``OSError``, such as an unusable --output-dir) is
+reported in one ``error:`` line and exits 2.
 Every subcommand honors --config, --set, --output-dir and --json.  Each
 --set takes one config-file line (``key=value``), read after --config;
 later lines win.  ``--set seed=N`` seeds the initial patch of ``crystal``
@@ -204,7 +206,7 @@ def main(argv=None) -> int:
     except (NumericalError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,8 +1,7 @@
 """Ion species, static trap configuration, shared physical constants, the
 base type of numerical failures, and the one writer of output tables.
 
-Everything in here is immutable after construction and safe to share
-across concurrent sweep workers.
+Every record in here is immutable after construction.
 """
 from __future__ import annotations
 

@@ -32,38 +32,22 @@ class OscillatorParams:
         return self.omega_r / self.omega_z
 
 
-def transfer_gain(params: OscillatorParams) -> float:
-    """Dimensionless magnification 1/sqrt((1-G^2)^2 + (2 zeta G)^2)."""
-    g = params.gamma_ratio
-    z = params.zeta
-    denominator = math.hypot(1.0 - g * g, 2.0 * z * g)
-    if denominator == 0.0:  # only Q = inf at omega_r = omega_z reaches zero
-        raise ValueError("quality_factor is inf at resonance: an undamped "
-                         "oscillator driven at resonance has unbounded gain")
-    return 1.0 / denominator
-
-
-def z_amplitude(omega_x: float, y_amp: float, params: OscillatorParams) -> float:
-    """Axial amplitude in m of one ion whose radial projection amplitude is y_amp.
-
-    Z = (2 omega_r / omega_z^2) * gain * |Omega_x| * Y; at resonance this
-    reduces exactly to Z = (2 Q / omega_z) * Omega_x * Y.
-    """
-    if not -math.inf < omega_x < math.inf:
-        raise ValueError("omega_x must be finite")
-    if not 0.0 <= y_amp < math.inf:
-        raise ValueError("y_amp must be non-negative and finite")
-    return (2.0 * params.omega_r * transfer_gain(params)
-            / params.omega_z ** 2) * abs(omega_x) * y_amp
-
-
 def rotation_scale_factor(r_cl: float, params: OscillatorParams) -> float:
     """Cloud-average axial amplitude per unit rotation rate, m per rad/s.
 
+    One ion at radius Y driven by a rotation Omega_x moves axially by
+    Z = (2 omega_r / omega_z^2) G |Omega_x| Y, with the magnification
+    G = 1/sqrt((1-g^2)^2 + (2 zeta g)^2) at g = omega_r/omega_z; at
+    resonance this reduces exactly to Z = (2 Q / omega_z) Omega_x Y.
     The cloud average is half of the outermost-ion amplitude.  (A uniform
     disk's mean radius would be 2 r_cl/3; the half-the-outermost rule is
     kept deliberately as the cruder but standard bookkeeping.)
     """
     if not 0.0 < r_cl < math.inf:
         raise ValueError("r_cl must be positive and finite")
-    return 0.5 * z_amplitude(1.0, r_cl, params)
+    g = params.gamma_ratio
+    denominator = math.hypot(1.0 - g * g, 2.0 * params.zeta * g)
+    if denominator == 0.0:  # only Q = inf at omega_r = omega_z reaches zero
+        raise ValueError("quality_factor is inf at resonance: an undamped "
+                         "oscillator driven at resonance has unbounded gain")
+    return 0.5 * ((2.0 * params.omega_r * (1.0 / denominator) / params.omega_z ** 2) * r_cl)

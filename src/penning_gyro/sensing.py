@@ -1,11 +1,14 @@
-"""Spin-dependent-force Ramsey readout chain and the sensitivity budget.
+"""Spin-dependent-force Ramsey readout and the sensitivity budget.
 
-The spin readout enters as one closed form, the amplitude at which the paired
-Ramsey measurement reaches unit signal-to-noise; the drive is taken exactly on
-the beat resonance, in phase with the force: theta = (F0/hbar) Z_c tau.
-The "e" in the single-shot resolution is Euler's number: it enters as
-exp(Gamma tau) evaluated at the optimum Gamma tau = 1, not as the
-elementary charge.
+``build_budget`` runs the whole chain.  The spin readout enters as one
+closed form, the amplitude at which the paired Ramsey measurement reaches
+unit signal-to-noise, hbar exp(Gamma tau) / (F0 tau sqrt(2N)); the drive is
+taken exactly on the beat resonance, in phase with the force, so the
+precession angle is theta = (F0/hbar) Z_c tau.  The "e" of that resolution
+at the optimum Gamma tau = 1 is Euler's number, not the elementary charge.
+Averaging multiplies the resolution by sqrt(cycle_time), i.e. divides it by
+sqrt(reps per second); the scale factor (m per rad/s) turns it into a
+rotation ASD, and 60 times that is the angle random walk in rad/sqrt(h).
 """
 from __future__ import annotations
 
@@ -42,47 +45,6 @@ class EnsembleSpec:
             raise ValueError("need a finite count of at least one ion")
 
 
-def precession_angle(odf: ODFParams, zc: float) -> float:
-    """theta = (F0/hbar) Z_c tau, rad."""
-    if not -math.inf < zc < math.inf:
-        raise ValueError("zc must be finite")
-    return (odf.f0 / CONST.reduced_planck) * zc * odf.tau
-
-
-def single_shot_amplitude_resolution(ens: EnsembleSpec, odf: ODFParams) -> float:
-    """Amplitude giving SNR = 1: hbar exp(Gamma tau) / (F0 tau sqrt(2N)), m."""
-    return (CONST.reduced_planck * math.exp(odf.gamma * odf.tau)
-            / (odf.f0 * odf.tau * math.sqrt(2.0 * ens.n_ions)))
-
-
-def averaged_sensitivity(single_shot: float, cycle_time: float) -> float:
-    """Amplitude spectral density after repetition averaging, m/sqrt(Hz).
-
-    single_shot * sqrt(cycle_time) == single_shot / sqrt(reps per second).
-    """
-    if not 0.0 <= single_shot < math.inf:
-        raise ValueError("single_shot must be non-negative and finite")
-    if not 0.0 < cycle_time < math.inf:
-        raise ValueError("cycle_time must be positive and finite")
-    return single_shot * math.sqrt(cycle_time)
-
-
-def rotation_sensitivity(amplitude_asd: float, scale_factor: float) -> float:
-    """rad/s/sqrt(Hz) from amplitude ASD and m-per-(rad/s) scale factor."""
-    if not 0.0 <= amplitude_asd < math.inf:
-        raise ValueError("amplitude_asd must be non-negative and finite")
-    if not 0.0 < scale_factor < math.inf:
-        raise ValueError("scale_factor must be positive and finite")
-    return amplitude_asd / scale_factor
-
-
-def angle_random_walk(rotation_asd: float) -> float:
-    """ARW in rad/sqrt(h); exactly rotation ASD times 60."""
-    if not 0.0 <= rotation_asd < math.inf:
-        raise ValueError("rotation_asd must be non-negative and finite")
-    return rotation_asd * SECONDS_PER_SQRT_HOUR
-
-
 @dataclass(frozen=True)
 class SensitivityBudget:
     theta_max: float                # rad, angle at the resolution floor
@@ -114,17 +76,25 @@ class SensitivityBudget:
 
 def build_budget(ens: EnsembleSpec, odf: ODFParams, scale_factor: float,
                  cycle_time: float) -> SensitivityBudget:
-    """Full deterministic chain from ODF/ensemble inputs to ARW."""
-    single_shot = single_shot_amplitude_resolution(ens, odf)
-    asd = averaged_sensitivity(single_shot, cycle_time)
-    rot_asd = rotation_sensitivity(asd, scale_factor)
+    """Full deterministic chain from ODF/ensemble inputs to ARW.
+
+    A non-finite step of the chain is rejected by ``SensitivityBudget``.
+    """
+    if not 0.0 < cycle_time < math.inf:
+        raise ValueError("cycle_time must be positive and finite")
+    if not 0.0 < scale_factor < math.inf:
+        raise ValueError("scale_factor must be positive and finite")
+    single_shot = (CONST.reduced_planck * math.exp(odf.gamma * odf.tau)
+                   / (odf.f0 * odf.tau * math.sqrt(2.0 * ens.n_ions)))
+    asd = single_shot * math.sqrt(cycle_time)
+    rot_asd = asd / scale_factor
     return SensitivityBudget(
-        theta_max=precession_angle(odf, single_shot),
+        theta_max=(odf.f0 / CONST.reduced_planck) * single_shot * odf.tau,
         delta_zc_single_shot=single_shot,
         amplitude_asd=asd,
         scale_factor=scale_factor,
         rotation_asd=rot_asd,
-        arw=angle_random_walk(rot_asd),
+        arw=rot_asd * SECONDS_PER_SQRT_HOUR,
         repetitions_per_s=1.0 / cycle_time,
         cycle_time=cycle_time,
     )

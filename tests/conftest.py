@@ -1,3 +1,12 @@
+import os
+import sys
+
+# BLAS reads its thread count once, when numpy loads it.  The crystal is the
+# same at any count (test_kernel_output_is_independent_of_blas_threads), and
+# on one thread the suite's relaxations run faster on a small machine.
+assert "numpy" not in sys.modules, "numpy was loaded before the BLAS thread count was set"
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import pytest
 
 from penning_gyro.core import CA40, TrapConfig

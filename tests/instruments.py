@@ -3,8 +3,10 @@
 They stay out of ``penning_gyro`` because no program path runs them: the
 lock-in reads the response of an integrated run, the voltage edge is a
 closed form that checks ``compute_modes``' stability decision from outside,
-and the Ramsey population model is the reference that the budget's closed
-form, ``single_shot_amplitude_resolution``, is checked against.
+and the Ramsey population model is the reference that the budget's
+single-shot resolution (``build_budget``'s ``delta_zc_single_shot``) is
+checked against.  It computes its precession angle itself, so it shares no
+readout formula with ``penning_gyro.sensing``.
 """
 import math
 
@@ -12,8 +14,9 @@ import numpy as np
 # scipy's trapezoid, not np.trapezoid: the latter needs numpy >= 2
 from scipy.integrate import trapezoid
 
+from penning_gyro.core import CONST
 from penning_gyro.dynamics import Trajectory
-from penning_gyro.sensing import EnsembleSpec, ODFParams, precession_angle
+from penning_gyro.sensing import EnsembleSpec, ODFParams
 
 
 def driven_amplitude(traj: Trajectory, drive_omega: float) -> float:
@@ -67,7 +70,10 @@ def population_difference(theta_max: float, gamma: float, tau: float) -> float:
 
 
 def population_snr(ens: EnsembleSpec, odf: ODFParams, zc: float) -> float:
-    """Signal-to-noise of the paired population measurement at amplitude zc."""
-    theta_max = precession_angle(odf, zc)
+    """Signal-to-noise of the paired population measurement at amplitude zc,
+    whose precession angle is theta = F0 zc tau / hbar."""
+    if not -math.inf < zc < math.inf:
+        raise ValueError("zc must be finite")
+    theta_max = odf.f0 * zc * odf.tau / CONST.reduced_planck
     return population_difference(theta_max, odf.gamma, odf.tau) * math.sqrt(
         2.0 * ens.n_ions)

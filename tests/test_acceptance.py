@@ -35,15 +35,8 @@ from penning_gyro.equilibrium import (
     rotating_frame_potential,
 )
 from penning_gyro.modes import compute_modes, freq_difference_sweep
-from penning_gyro.response import OscillatorParams, rotation_scale_factor, z_amplitude
-from penning_gyro.sensing import (
-    EnsembleSpec,
-    ODFParams,
-    angle_random_walk,
-    averaged_sensitivity,
-    rotation_sensitivity,
-    single_shot_amplitude_resolution,
-)
+from penning_gyro.response import OscillatorParams, rotation_scale_factor
+from penning_gyro.sensing import EnsembleSpec, ODFParams, build_budget
 from penning_gyro.shape import (
     RotatingWallConfig,
     aspect_ratio_from_beta,
@@ -252,7 +245,7 @@ def test_criterion_08_coriolis_chain():
     modes = compute_modes(CA40, TRAP100)
     osc = OscillatorParams(omega_z=modes.omega_z, omega_r=modes.omega_z,
                            quality_factor=1e6)
-    outer = z_amplitude(1.0, 0.022e-2, osc)
+    outer = 2 * rotation_scale_factor(0.022e-2, osc)  # the cloud average is half
     cloud = rotation_scale_factor(0.022e-2, osc)
     resonance_ok = (_within(outer, 0.028e-2, 0.05)
                     and _within(cloud, 0.014e-2, 0.05))
@@ -268,7 +261,7 @@ def test_criterion_08_coriolis_chain():
     undamped = OscillatorParams(omega_z=modes10.omega_z,
                                 omega_r=modes10.omega_m,
                                 quality_factor=math.inf)
-    predicted = z_amplitude(10.0, 25e-6, undamped)
+    predicted = 2 * 10.0 * rotation_scale_factor(25e-6, undamped)
     ode_ok = _within(measured, predicted, 0.05)
     _report(8, "rotation-to-amplitude chain", resonance_ok and ode_ok,
             f"resonance {outer * 1e2:.4f} cm / cloud "
@@ -279,12 +272,11 @@ def test_criterion_08_coriolis_chain():
 def test_criterion_09_sensitivity_budget():
     ens = EnsembleSpec(10000)
     odf = ODFParams(f0=1e-22, tau=0.01, gamma=100.0)  # Gamma tau = 1
-    dz = single_shot_amplitude_resolution(ens, odf)
-    asd = averaged_sensitivity(dz, 0.05)  # 20 repetitions per second
     modes = compute_modes(CA40, TRAP100)
     scale = 1e6 * 0.022e-2 / modes.omega_z  # Q Y / omega_z at resonance
-    rot_asd = rotation_sensitivity(asd, scale)
-    arw = angle_random_walk(rot_asd)
+    budget = build_budget(ens, odf, scale, 0.05)  # 20 repetitions per second
+    dz, asd = budget.delta_zc_single_shot, budget.amplitude_asd
+    rot_asd, arw = budget.rotation_asd, budget.arw
     ok = (_within(dz, 2.0e-12, 0.05)
           and _within(asd, 0.4e-12, 0.15)
           and _within(rot_asd, 3.0e-9, 0.15)

@@ -247,6 +247,18 @@ def test_numerical_errors_exit_3(error, tmp_path, capsys, monkeypatch):
     assert str(error) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["budget"], ["fig", "3"], ["modes", "--csv"], ["--set", "n_crystal=2", "crystal"],
+], ids=" ".join)
+def test_unusable_output_dir_is_a_config_error(argv, tmp_path, capsys):
+    not_a_dir = tmp_path / "taken"
+    not_a_dir.write_text("")
+    code, _, err = run(["--output-dir", str(not_a_dir), *argv], capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(not_a_dir) in err
+
+
 def test_config_file_round_trip(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("trap_voltage_v = 10\n")

@@ -20,20 +20,8 @@ from penning_gyro.core import (
 )
 from penning_gyro.dynamics import IntegratorConfig, magnetron_orbit_state
 from penning_gyro.modes import UnstableTrapError, compute_modes
-from penning_gyro.response import (
-    OscillatorParams,
-    rotation_scale_factor,
-    transfer_gain,
-    z_amplitude,
-)
-from penning_gyro.sensing import (
-    EnsembleSpec,
-    ODFParams,
-    angle_random_walk,
-    averaged_sensitivity,
-    precession_angle,
-    rotation_sensitivity,
-)
+from penning_gyro.response import OscillatorParams, rotation_scale_factor
+from penning_gyro.sensing import EnsembleSpec, ODFParams, build_budget
 from penning_gyro.shape import (
     RotatingWallConfig,
     SpheroidGeometry,
@@ -51,6 +39,7 @@ from instruments import (
 )
 
 OSC = OscillatorParams(omega_z=1.55e6, omega_r=1.55e6, quality_factor=1e6)
+ODF = ODFParams(f0=1e-22, tau=0.01, gamma=100.0)
 MODES10 = compute_modes(CA40, TrapConfig(1.0, 10.0, 0.01))
 
 
@@ -94,25 +83,21 @@ def test_species_validation():
     lambda: OscillatorParams(omega_z=math.inf, omega_r=1.55e6, quality_factor=1e6),
     lambda: OscillatorParams(omega_z=1.55e6, omega_r=math.inf, quality_factor=1e6),
     lambda: RotatingWallConfig(omega_r=math.inf, delta=0.01),
-    lambda: averaged_sensitivity(1e-12, math.inf),
-    lambda: rotation_sensitivity(1e-12, math.inf),
-    lambda: z_amplitude(1.0, math.nan, OSC),
     lambda: rotation_scale_factor(math.inf, OSC),
+    # exp(Gamma tau) = exp(700) over F0 tau = 7e-60: the resolution overflows to inf
+    lambda: build_budget(EnsembleSpec(10000), ODFParams(f0=1e-60, tau=7.0, gamma=100.0),
+                         1e-3, 0.05),
 ]] + [
     # the message must name the bad input, not the spheroid's r_cl > z_cl > 0
     (lambda: spheroid_dimensions(1000, math.nan, 0.05, 1.55e6, CA40), "alpha"),
     (lambda: spheroid_dimensions(math.nan, 0.07, 0.05, 1.55e6, CA40), "n_ions"),
     # raw-float inputs of the response and readout chain
-    (lambda: z_amplitude(math.inf, 1e-4, OSC), "omega_x"),
-    (lambda: z_amplitude(math.nan, 1e-4, OSC), "omega_x"),
-    (lambda: precession_angle(ODFParams(f0=1e-22, tau=0.01, gamma=100.0), math.inf), "zc"),
+    (lambda: build_budget(EnsembleSpec(10000), ODF, 1e-3, math.inf), "cycle_time"),
+    (lambda: build_budget(EnsembleSpec(10000), ODF, math.inf, 0.05), "scale_factor"),
     (lambda: ramsey_population(math.nan, 100.0, 0.01), "theta"),
-    (lambda: angle_random_walk(math.nan), "rotation_asd"),
     (lambda: population_difference(math.nan, 100.0, 0.01), "theta_max"),
     (lambda: population_difference(0.1, math.nan, 0.01), "gamma"),
     (lambda: ramsey_population(0.1, math.nan, 0.01), "gamma"),
-    (lambda: rotation_sensitivity(math.nan, 1e-3), "amplitude_asd"),
-    (lambda: averaged_sensitivity(math.inf, 0.05), "single_shot"),
     (lambda: ramsey_population(0.1, 100.0, math.nan), "tau"),
     (lambda: population_difference(0.1, 100.0, math.nan), "tau"),
     (lambda: ramsey_population(0.1, 0.0, math.inf), "tau"),
@@ -127,8 +112,8 @@ def test_species_validation():
     (lambda: population_difference(0.1, -math.inf, 0.01), "gamma"),
     (lambda: population_difference(0.1, 100.0, math.inf), "tau"),
     (lambda: population_difference(0.1, 100.0, -math.inf), "tau"),
-    (lambda: population_snr(EnsembleSpec(10000), ODFParams(f0=1e-22, tau=0.01, gamma=100.0),
-                            math.nan), "zc"),
+    (lambda: population_snr(EnsembleSpec(10000), ODF, math.nan), "zc"),
+    (lambda: population_snr(EnsembleSpec(10000), ODF, math.inf), "zc"),
     # shape inputs: each must be named, not fail later as a division by
     # zero or as the spheroid's r_cl > z_cl > 0
     (lambda: spheroid_dimensions(1000, 0.07, math.inf, 1.55e6, CA40), "beta"),
@@ -157,7 +142,8 @@ def test_species_validation():
     (lambda: SpheroidGeometry(r_cl=1e-4, z_cl=1e-5, density_n=0.0), "density_n"),
     (lambda: RotationInput(omega_x=math.nan), "omega_x"),
     # Q = inf is allowed, but its gain at resonance is unbounded
-    (lambda: transfer_gain(OscillatorParams(1.55e6, 1.55e6, math.inf)), "quality_factor"),
+    (lambda: rotation_scale_factor(2.2e-4, OscillatorParams(1.55e6, 1.55e6, math.inf)),
+     "quality_factor"),
     # A_z's closed form holds for an oblate spheroid, 0 < alpha < 1
     (lambda: axial_depolarization(math.nan), "alpha"),
     (lambda: axial_depolarization(math.inf), "alpha"),
@@ -170,13 +156,11 @@ def test_species_validation():
         "odf_f0_inf", "odf_tau_inf", "odf_gamma_inf", "ensemble_n_ions_inf",
         "integrator_total_time_inf",
         "oscillator_omega_z_inf", "oscillator_omega_r_inf", "wall_omega_r_inf",
-        "averaged_sensitivity_cycle_time_inf", "rotation_sensitivity_scale_factor_inf",
-        "z_amplitude_y_amp_nan", "rotation_scale_factor_r_cl_inf",
-        "spheroid_alpha_nan", "spheroid_n_ions_nan", "z_amplitude_omega_x_inf",
-        "z_amplitude_omega_x_nan", "precession_angle_zc_inf", "ramsey_population_theta_nan",
-        "angle_random_walk_rotation_asd_nan", "population_difference_theta_max_nan",
+        "rotation_scale_factor_r_cl_inf", "build_budget_resolution_overflow",
+        "spheroid_alpha_nan", "spheroid_n_ions_nan", "averaged_sensitivity_cycle_time_inf",
+        "rotation_sensitivity_scale_factor_inf",
+        "ramsey_population_theta_nan", "population_difference_theta_max_nan",
         "population_difference_gamma_nan", "ramsey_population_gamma_nan",
-        "rotation_sensitivity_amplitude_asd_nan", "averaged_sensitivity_single_shot_inf",
         "ramsey_population_tau_nan", "population_difference_tau_nan",
         "ramsey_population_tau_inf", "ramsey_population_theta_inf",
         "ramsey_population_theta_minus_inf", "ramsey_population_gamma_inf",
@@ -184,7 +168,7 @@ def test_species_validation():
         "population_difference_theta_max_inf", "population_difference_theta_max_minus_inf",
         "population_difference_gamma_inf", "population_difference_gamma_minus_inf",
         "population_difference_tau_inf", "population_difference_tau_minus_inf",
-        "population_snr_zc_nan", "spheroid_beta_inf", "spheroid_beta_minus_inf",
+        "population_snr_zc_nan", "population_snr_zc_inf", "spheroid_beta_inf", "spheroid_beta_minus_inf",
         "spheroid_beta_nan", "spheroid_beta_minus_half", "spheroid_omega_z_inf",
         "spheroid_omega_z_minus_inf", "spheroid_omega_z_nan", "coulomb_trap_length_omega_z_nan",
         "coulomb_trap_length_omega_z_inf", "coulomb_trap_length_omega_z_zero",

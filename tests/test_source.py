@@ -123,7 +123,7 @@ def test_lazy_names_are_the_modules_objects():
 def test_dir_lists_every_public_name():
     public = {name for name in dir(penning_gyro) if not name.startswith("_")
               and not inspect.ismodule(getattr(penning_gyro, name))}
-    assert len(public) == 42
+    assert len(public) == 35
     assert {name for names in LAZY_NAMES.values() for name in names} <= public
 
 
