@@ -16,13 +16,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from .config import RunConfig, load_config
 from .core import CONST, NumericalError, write_csv
-from .response import OscillatorParams, rotation_scale_factor
-from .sensing import EnsembleSpec, ODFParams, budget_json, build_budget
-from .shape import aspect_ratio_from_beta, planarity_check, shape_beta, spheroid_dimensions
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,7 +61,7 @@ def _outdir(args) -> str:
 
 
 def _cmd_constants(args, config: RunConfig) -> int:
-    values = asdict(CONST)
+    values = dict(zip(CONST.field_names, CONST.field_values()))
     if args.json:
         print(json.dumps(values, indent=2, sort_keys=True))
     else:
@@ -114,6 +110,10 @@ def _cmd_fig(args, config: RunConfig) -> int:
 
 
 def _cmd_budget(args, config: RunConfig) -> int:
+    from .response import OscillatorParams, rotation_scale_factor
+    from .sensing import EnsembleSpec, ODFParams, budget_json, build_budget
+    from .shape import aspect_ratio_from_beta, planarity_check, shape_beta, spheroid_dimensions
+
     species, modes = config.ion(), config.modes()
     wall = config.wall(modes)
     beta = shape_beta(modes, wall.omega_r)

@@ -11,19 +11,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
 
-from .core import CA40, IonSpecies, TrapConfig, require_finite
+from .core import CA40, IonSpecies, Record, TrapConfig, require_finite
 from .modes import ModeFrequencies, compute_modes
-from .shape import RotatingWallConfig
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     b_field_t: float = 1.0
     trap_voltage_v: float = 100.0
     char_length_m: float = 0.01
@@ -53,11 +50,13 @@ class RunConfig:
         return compute_modes(self.ion(), self.trap())
 
     def wall(self, modes: ModeFrequencies) -> RotatingWallConfig:
+        from .shape import RotatingWallConfig
+
         return RotatingWallConfig(omega_r=self.wall_ratio * modes.omega_z,
                                   delta=self.wall_delta)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FIELD_TYPES = {name: RunConfig.__annotations__[name] for name in RunConfig.field_names}
 _FLOAT_FIELDS = [name for name, kind in _FIELD_TYPES.items() if kind == "float"]
 
 

@@ -1,16 +1,16 @@
-"""Ion species, static trap configuration, shared physical constants, the
-base type of numerical failures, and the one writer of output tables.
+"""The base of the package's records, ion species, static trap
+configuration, shared physical constants, the base type of numerical
+failures, and the one writer of output tables.
 
-Every record in here is immutable after construction.
+Every record in the package is immutable after construction.
 """
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable, Sequence
 from contextlib import suppress
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Sequence
 
 
 def require_finite(record, names: Iterable[str]) -> None:
@@ -22,8 +22,61 @@ def require_finite(record, names: Iterable[str]) -> None:
             raise ValueError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class Record:
+    """Base of the package's immutable records, built without ``dataclasses``.
+
+    A subclass declares its fields as annotated class attributes, in order;
+    a default is the attribute's value, and a ``ClassVar`` is not a field.
+    It gets one generated ``__init__`` with the fields as parameters, which
+    stores them and then calls ``__post_init__``, if the class has one; that
+    may normalise a field with ``object.__setattr__``.  Assignment and
+    deletion raise AttributeError; equality, hash and repr go by the fields.
+    """
+
+    field_names: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        notes = cls.__annotations__
+        names = tuple(name for name, kind in notes.items()
+                      if not str(kind).startswith(("ClassVar", "typing.ClassVar")))
+        params = ", ".join(f"{name}=_defaults[{name!r}]" if name in cls.__dict__ else name
+                           for name in names)
+        fields = ", ".join(f"{name!r}: {name}" for name in names)
+        post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        scope = {"_setattr": object.__setattr__, "_defaults": cls.__dict__}
+        exec(f"def __init__(self, {params}):\n"
+             f"    _setattr(self, '__dict__', {{{fields}}}){post}", scope)
+        init = scope["__init__"]
+        init.__annotations__ = {**{name: notes[name] for name in names}, "return": None}
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__, cls.field_names = init, names
+
+    def field_values(self) -> tuple:
+        """The field values in declaration order."""
+        return tuple(self.__dict__.values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.field_values() == other.field_values()
+
+    def __hash__(self):
+        return hash(self.field_values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.field_names, self.field_values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class PhysicalConstants(Record):
     """Pinned CODATA-2018 values. Printed by the CLI ``constants`` command
     so numeric drift between environments is auditable."""
 
@@ -48,8 +101,7 @@ class NumericalError(Exception):
     """A computation failed on valid inputs; the CLI exits 3 on it."""
 
 
-@dataclass(frozen=True)
-class IonSpecies:
+class IonSpecies(Record):
     name: str
     mass: float    # kg
     charge: float  # C
@@ -70,8 +122,7 @@ CA40 = IonSpecies(
 )
 
 
-@dataclass(frozen=True)
-class TrapConfig:
+class TrapConfig(Record):
     """Static axial magnetic field (+z) plus quadrupole electric trap."""
 
     b_field: float          # T
@@ -87,8 +138,7 @@ class TrapConfig:
             raise ValueError("char_length_z0 must be positive and finite")
 
 
-@dataclass(frozen=True)
-class RotationInput:
+class RotationInput(Record):
     """Angular-velocity input about the x axis (the measurand)."""
 
     omega_x: float = 0.0  # rad/s; may be zero or negative

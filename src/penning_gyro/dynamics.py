@@ -14,13 +14,13 @@ radially and restores axially, and the magnetron rotation is the ExB drift
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     IonSpecies,
     NumericalError,
+    Record,
     RotationInput,
     TrapConfig,
     axial_frequency_squared,
@@ -34,8 +34,7 @@ class IntegrationError(NumericalError, RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class ParticleState:
+class ParticleState(Record):
     position: np.ndarray  # (3,) m
     velocity: np.ndarray  # (3,) m/s
 
@@ -50,8 +49,7 @@ class ParticleState:
         object.__setattr__(self, "velocity", vel)
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(Record):
     time_step: float               # s, the RK4 step
     total_time: float              # s
     sample_stride: int = 1         # keep every n-th step
@@ -65,8 +63,7 @@ class IntegratorConfig:
             raise ValueError("sample_stride must be >= 1")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     times: np.ndarray       # (n,) s, strictly increasing
     positions: np.ndarray   # (n, 3) m
     velocities: np.ndarray  # (n, 3) m/s
@@ -177,8 +174,7 @@ def periodogram(traj: Trajectory, coordinate: str = "z"):
     return freqs, power
 
 
-@dataclass(frozen=True)
-class SpectralPeak:
+class SpectralPeak(Record):
     frequency: float  # Hz
     power: float
 

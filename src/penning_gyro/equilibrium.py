@@ -13,12 +13,11 @@ the minimizer well conditioned at any ion count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .core import IonSpecies, NumericalError, require_finite, write_csv
+from .core import IonSpecies, NumericalError, Record, require_finite, write_csv
 from .modes import ModeFrequencies
 from .shape import (
     RotatingWallConfig,
@@ -48,8 +47,7 @@ def _nearest_neighbor_distances(positions: np.ndarray) -> np.ndarray:
     return d[:, 1]
 
 
-@dataclass(frozen=True)
-class IonConfiguration:
+class IonConfiguration(Record):
     positions: np.ndarray  # (N, 3) m, rotating frame
 
     def __post_init__(self):
@@ -70,14 +68,12 @@ class IonConfiguration:
 _MAX_ITERATIONS = 20000
 
 
-@dataclass(frozen=True)
-class RelaxationConfig:
+class RelaxationConfig(Record):
     force_tolerance: ClassVar[float] = 1e-21   # N, per component
     initial_seed: int = 0
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Record):
     converged: bool
     final_energy: float       # J
     max_force: float          # N, largest residual component
@@ -252,8 +248,7 @@ def relax(n_ions: int, species: IonSpecies, modes: ModeFrequencies,
     return config, report
 
 
-@dataclass(frozen=True)
-class ShapeStats:
+class ShapeStats(Record):
     alpha: float             # sqrt(2<z^2>/<x^2+y^2>), the cold-fluid alpha
     r_cl: float              # m, sqrt(5<x^2+y^2>/2), the cold-fluid radius
     spacing_median: float    # m, nearest-neighbor

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import astuple, dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .core import (
     IonSpecies,
+    Record,
     TrapConfig,
     axial_frequency,
     cyclotron_frequency,
@@ -28,8 +28,7 @@ class UnstableTrapError(ValueError):
     """Raised when omega_z >= omega_c/sqrt(2) (discriminant not positive)."""
 
 
-@dataclass(frozen=True)
-class ModeFrequencies:
+class ModeFrequencies(Record):
     omega_c: float       # true cyclotron, rad/s
     omega_z: float       # axial, rad/s
     omega_m: float       # magnetron, rad/s
@@ -92,8 +91,7 @@ def compute_modes(species: IonSpecies, trap: TrapConfig) -> ModeFrequencies:
     )
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(Record):
     b_field: float              # T
     voltage: float              # V
     fz_minus_fm: float | None   # Hz; None marks an unstable gap point
@@ -136,4 +134,4 @@ def freq_difference_sweep(
 
 
 def write_sweep_csv(points: Sequence[SweepPoint], path) -> None:
-    write_csv(path, ["b_tesla", "v_volts", "fz_minus_fm_hz"], map(astuple, points))
+    write_csv(path, ["b_tesla", "v_volts", "fz_minus_fm_hz"], map(SweepPoint.field_values, points))

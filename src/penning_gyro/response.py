@@ -7,11 +7,11 @@ frequency; Q is an input (the damping mechanism behind it is not modeled).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .core import Record
 
 
-@dataclass(frozen=True)
-class OscillatorParams:
+class OscillatorParams(Record):
     omega_z: float          # rad/s
     omega_r: float          # rad/s, drive (crystal rotation) frequency
     quality_factor: float   # Q = 1/(2 zeta); math.inf allowed (undamped)

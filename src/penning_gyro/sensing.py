@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
-from .core import CONST, require_finite
+from .core import CONST, Record, require_finite
 
 SECONDS_PER_SQRT_HOUR = 60.0  # sqrt(3600 s/h)
 
 
-@dataclass(frozen=True)
-class ODFParams:
+class ODFParams(Record):
     f0: float     # N, per-ion spin-dependent force
     tau: float    # s, precession duration
     gamma: float  # 1/s, spontaneous decay rate
@@ -36,8 +34,7 @@ class ODFParams:
             raise ValueError("gamma must be non-negative and finite")
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
+class EnsembleSpec(Record):
     n_ions: int
 
     def __post_init__(self):
@@ -45,8 +42,7 @@ class EnsembleSpec:
             raise ValueError("need a finite count of at least one ion")
 
 
-@dataclass(frozen=True)
-class SensitivityBudget:
+class SensitivityBudget(Record):
     theta_max: float                # rad, angle at the resolution floor
     delta_zc_single_shot: float     # m
     amplitude_asd: float            # m/sqrt(Hz)
@@ -78,14 +74,21 @@ def build_budget(ens: EnsembleSpec, odf: ODFParams, scale_factor: float,
                  cycle_time: float) -> SensitivityBudget:
     """Full deterministic chain from ODF/ensemble inputs to ARW.
 
-    A non-finite step of the chain is rejected by ``SensitivityBudget``.
+    ODF inputs whose resolution overflows are rejected by name; any other
+    non-finite step of the chain is rejected by ``SensitivityBudget``.
     """
     if not 0.0 < cycle_time < math.inf:
         raise ValueError("cycle_time must be positive and finite")
     if not 0.0 < scale_factor < math.inf:
         raise ValueError("scale_factor must be positive and finite")
-    single_shot = (CONST.reduced_planck * math.exp(odf.gamma * odf.tau)
-                   / (odf.f0 * odf.tau * math.sqrt(2.0 * ens.n_ions)))
+    try:
+        single_shot = (CONST.reduced_planck * math.exp(odf.gamma * odf.tau)
+                       / (odf.f0 * odf.tau * math.sqrt(2.0 * ens.n_ions)))
+    except (OverflowError, ZeroDivisionError):  # exp(gamma tau) overflows or f0 tau underflows
+        single_shot = math.inf
+    if single_shot == math.inf:
+        raise ValueError(f"gamma={odf.gamma:g} 1/s, tau={odf.tau:g} s and f0={odf.f0:g} N give "
+                         f"an infinite resolution hbar exp(gamma tau) / (f0 tau sqrt(2N))")
     asd = single_shot * math.sqrt(cycle_time)
     rot_asd = asd / scale_factor
     return SensitivityBudget(

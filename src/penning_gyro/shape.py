@@ -21,10 +21,9 @@ of the relaxed N-body crystal in ``equilibrium``.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .core import K_COULOMB, IonSpecies, NumericalError, require_finite, write_csv
+from .core import K_COULOMB, IonSpecies, NumericalError, Record, require_finite, write_csv
 from .modes import ModeFrequencies
 
 
@@ -36,8 +35,7 @@ class AspectRatioBracketError(NumericalError, ValueError):
     """No sign change found when scanning the shape relation residual."""
 
 
-@dataclass(frozen=True)
-class RotatingWallConfig:
+class RotatingWallConfig(Record):
     omega_r: float          # rad/s, crystal rotation frequency
     delta: float            # relative wall strength
 
@@ -48,8 +46,7 @@ class RotatingWallConfig:
             raise ValueError("omega_r must be positive and finite")
 
 
-@dataclass(frozen=True)
-class SpheroidGeometry:
+class SpheroidGeometry(Record):
     r_cl: float        # m, equatorial radius
     z_cl: float        # m, axial half-extent
     density_n: float   # m^-3
@@ -211,8 +208,7 @@ def spheroid_dimensions(n_ions: float, alpha: float, beta: float,
 PLANARITY_THRESHOLD = 0.1  # "much less than 1" pinned to a usable number
 
 
-@dataclass(frozen=True)
-class PlanarityReport:
+class PlanarityReport(Record):
     passes: bool               # delta < beta < threshold
 
 
@@ -224,8 +220,7 @@ def planarity_check(beta: float, delta: float) -> PlanarityReport:
     return PlanarityReport(delta < beta < PLANARITY_THRESHOLD)
 
 
-@dataclass(frozen=True)
-class ShapeSweepRow:
+class ShapeSweepRow(Record):
     omega_r: float
     omega_r_over_omega_z: float
     normalized_freq: float
@@ -262,4 +257,4 @@ def shape_sweep(species: IonSpecies, modes: ModeFrequencies,
 
 def write_shape_csv(rows: Sequence[ShapeSweepRow], path) -> None:
     write_csv(path, ["omega_r_rad_s", "omega_r_over_omega_z", "normalized_freq",
-                     "beta", "alpha", "r_cl_m", "z_cl_m"], map(astuple, rows))
+                     "beta", "alpha", "r_cl_m", "z_cl_m"], map(ShapeSweepRow.field_values, rows))

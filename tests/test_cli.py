@@ -188,6 +188,21 @@ def test_budget_text(tmp_path, capsys):
     assert (tmp_path / "budget.json").exists()
 
 
+@pytest.mark.parametrize("overrides, names", [
+    # exp(Gamma tau) = exp(1e5) overflows a float
+    (["decay_rate_hz=1e5", "precession_s=1"], ("gamma=100000", "tau=1 s")),
+    # exp(700) is finite, but over F0 tau = 7e-60 the resolution is not
+    (["odf_force_n=1e-60", "precession_s=7"], ("f0=1e-60", "tau=7 s")),
+], ids=["exp_overflow", "resolution_overflow"])
+def test_budget_overflow_names_its_inputs(overrides, names, tmp_path, capsys):
+    argv = [arg for pair in overrides for arg in ("--set", pair)]
+    code, _, err = run(["--output-dir", str(tmp_path), *argv, "budget"], capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(name in err for name in names)
+    assert not (tmp_path / "budget.json").exists()
+
+
 def test_crystal_json(tmp_path, capsys):
     code, out, _ = run(["--output-dir", str(tmp_path), "--json",
                         "--set", "n_crystal=20", "crystal"], capsys)
@@ -241,7 +256,7 @@ def test_crystal_coincident_ions_is_numerical(tmp_path, capsys, monkeypatch):
 def test_numerical_errors_exit_3(error, tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise error
-    monkeypatch.setattr("penning_gyro.cli.aspect_ratio_from_beta", fail)
+    monkeypatch.setattr("penning_gyro.shape.aspect_ratio_from_beta", fail)
     code, _, err = run(["--output-dir", str(tmp_path), "budget"], capsys)
     assert code == EXIT_NUMERICAL
     assert str(error) in err
@@ -340,3 +355,44 @@ def test_numpy_loads_only_on_demand(tmp_path):
     assert result["before"] is False
     assert result["after"] is True
     assert (tmp_path / "budget.json").is_file()
+
+
+def test_start_up_loads_only_what_it_runs(tmp_path):
+    # every package name resolves on first access and no module imports
+    # dataclasses (with it, inspect): perfbench's setup path, import, the
+    # default config and one modes call, loads core, modes and config only,
+    # and the subcommands that never reach the shape load none of the budget's
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "penning_gyro")
+
+        stages = {}
+        import penning_gyro
+        stages["import"] = loaded()
+        from penning_gyro.config import load_config
+        cfg = load_config(None)
+        penning_gyro.compute_modes(cfg.ion(), cfg.trap())
+        stages["setup"] = loaded()
+        stages["stdlib"] = sorted({"dataclasses", "inspect"} & set(sys.modules))
+        from penning_gyro.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["constants"], ["modes"], ["--help"]):
+                try:
+                    main(["--output-dir", sys.argv[1], *argv])
+                except SystemExit:
+                    pass
+        stages["cli"] = loaded()
+        print(json.dumps(stages))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(penning_gyro.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    stages = json.loads(out.stdout.splitlines()[-1])
+    assert stages["import"] == ["penning_gyro"]
+    assert stages["setup"] == ["penning_gyro", "penning_gyro.config", "penning_gyro.core",
+                               "penning_gyro.modes"]
+    assert stages["stdlib"] == []
+    assert stages["cli"] == ["penning_gyro", "penning_gyro.cli", "penning_gyro.config",
+                             "penning_gyro.core", "penning_gyro.modes"]

@@ -1,12 +1,11 @@
 """Non-finite floats are rejected as a class.
 
-Every public dataclass and public function of the package that takes a
+Every public record and public function of the package that takes a
 float is found with ``inspect``; each float parameter gets NaN, +inf and
 -inf in turn, the others held at a valid baseline, and must raise a
 ``ValueError`` whose message names it.  A new float field or parameter
 fails here until the table below gives it a baseline.
 """
-import dataclasses
 import importlib
 import inspect
 import math
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import penning_gyro
-from penning_gyro.core import CA40, CONST, TrapConfig
+from penning_gyro.core import CA40, CONST, Record, TrapConfig
 from penning_gyro.modes import compute_modes
 from penning_gyro.response import OscillatorParams
 from penning_gyro.sensing import EnsembleSpec, ODFParams, build_budget
@@ -28,13 +27,18 @@ ODF = ODFParams(f0=1e-22, tau=0.01, gamma=100.0)
 ENSEMBLE = EnsembleSpec(10000)
 BUDGET_ARGS = {"ens": ENSEMBLE, "odf": ODF, "scale_factor": 1e-3, "cycle_time": 0.05}
 
+
+def _fields(record: Record) -> dict:
+    return dict(zip(record.field_names, record.field_values()))
+
+
 # a valid call of each target; every float parameter must appear here
 BASELINES = {
     "config.RunConfig": {"b_field_t": 1.0, "trap_voltage_v": 100.0, "char_length_m": 0.01,
                          "wall_ratio": 1.0, "wall_delta": 0.01, "q_factor": 1e6,
                          "odf_force_n": 1e-22, "decay_rate_hz": 100.0, "precession_s": 0.01,
                          "cycle_s": 0.05},
-    "core.PhysicalConstants": dataclasses.asdict(CONST),
+    "core.PhysicalConstants": _fields(CONST),
     "core.IonSpecies": {"name": "Ca+", "mass": CA40.mass, "charge": CA40.charge},
     "core.TrapConfig": {"b_field": 1.0, "trap_voltage": 100.0, "char_length_z0": 0.01},
     "core.RotationInput": {"omega_x": 10.0},
@@ -46,14 +50,14 @@ BASELINES = {
                                       "restarts_used": 0},
     "equilibrium.ShapeStats": {"alpha": 0.05, "r_cl": 4e-4, "spacing_median": 2.6e-5,
                                "spacing_spread": 1e-6, "low_confidence": False},
-    "modes.ModeFrequencies": dataclasses.asdict(MODES),
+    "modes.ModeFrequencies": _fields(MODES),
     "modes.SweepPoint": {"b_field": 1.0, "voltage": 100.0, "fz_minus_fm": 1e5},
     "modes.freq_difference_sweep": {"species": CA40, "z0": 0.01, "b_list": [1.0],
                                     "v_grid": [100.0]},
-    "response.OscillatorParams": dataclasses.asdict(OSC),
+    "response.OscillatorParams": _fields(OSC),
     "response.rotation_scale_factor": {"r_cl": 2.2e-4, "params": OSC},
-    "sensing.ODFParams": dataclasses.asdict(ODF),
-    "sensing.SensitivityBudget": dataclasses.asdict(build_budget(**BUDGET_ARGS)),
+    "sensing.ODFParams": _fields(ODF),
+    "sensing.SensitivityBudget": _fields(build_budget(**BUDGET_ARGS)),
     "sensing.build_budget": BUDGET_ARGS,
     "shape.RotatingWallConfig": {"omega_r": 1.55e6, "delta": 0.01},
     "shape.SpheroidGeometry": {"r_cl": 1e-4, "z_cl": 1e-5, "density_n": 1e12},
@@ -95,7 +99,7 @@ def _is_float(annotation) -> bool:
 
 def _targets() -> dict:
     """module.name -> (object, its float parameters) for every public
-    dataclass and function that takes a float."""
+    record and function that takes a float."""
     found = {}
     for stem in SOURCES:
         module = importlib.import_module(f"penning_gyro.{stem}")
@@ -103,7 +107,7 @@ def _targets() -> dict:
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
                 continue
             if not (inspect.isfunction(obj)
-                    or inspect.isclass(obj) and dataclasses.is_dataclass(obj)):
+                    or inspect.isclass(obj) and issubclass(obj, Record) and obj is not Record):
                 continue
             floats = [p.name for p in inspect.signature(obj).parameters.values()
                       if _is_float(p.annotation)]

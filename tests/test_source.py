@@ -102,29 +102,21 @@ def test_numpy_is_imported_by_the_numpy_layers_alone():
     assert loads == NUMPY_MODULES
 
 
-# the public names of the numpy layers, which the package resolves on first access
-LAZY_NAMES = {
-    "dynamics": ("IntegratorConfig", "ParticleState", "Trajectory", "extract_spectrum",
-                 "integrate", "magnetron_orbit_state"),
-    "equilibrium": ("IonConfiguration", "RelaxationConfig", "forces", "measured_shape",
-                    "relax", "rotating_frame_potential"),
-}
-
-
 def test_lazy_names_are_the_modules_objects():
-    for module_name, names in LAZY_NAMES.items():
+    # every public name resolves on first access, to its module's object
+    for name, module_name in penning_gyro._LAZY.items():
         module = importlib.import_module(f"penning_gyro.{module_name}")
-        for name in names:
-            assert getattr(penning_gyro, name) is getattr(module, name)
-    from penning_gyro import relax
+        assert getattr(penning_gyro, name) is getattr(module, name)
+    from penning_gyro import CONST, relax
     assert relax is importlib.import_module("penning_gyro.equilibrium").relax
+    assert CONST is importlib.import_module("penning_gyro.core").CONST
 
 
 def test_dir_lists_every_public_name():
     public = {name for name in dir(penning_gyro) if not name.startswith("_")
               and not inspect.ismodule(getattr(penning_gyro, name))}
     assert len(public) == 35
-    assert {name for names in LAZY_NAMES.values() for name in names} <= public
+    assert public == set(penning_gyro._LAZY)
 
 
 def test_unknown_attribute_is_an_attribute_error():
@@ -143,6 +135,18 @@ def test_no_module_imports_csv():
     assert found == []
 
 
+def test_no_module_imports_dataclasses():
+    # the records derive from core.Record: importing dataclasses (and with
+    # it inspect) cost about 10 ms of every start, and its decorator about
+    # 1 ms per record
+    sources = sorted(Path(penning_gyro.__file__).parent.glob("*.py"))
+    assert len(sources) >= 11
+    found = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text()))
+             if any(name.split(".")[0] == "dataclasses" for name in _imported_modules(node))]
+    assert found == []
+
+
 CALLER_DIRS = ("src", "scripts", "perfbench")
 
 
@@ -156,13 +160,12 @@ def _defaulted_parameters(func: ast.FunctionDef) -> list[tuple[str, int | None]]
                      if default is not None]
 
 
-def _is_dataclass(cls: ast.ClassDef) -> bool:
-    return any((deco.func if isinstance(deco, ast.Call) else deco).id == "dataclass"
-               for deco in cls.decorator_list)
+def _is_record(cls: ast.ClassDef) -> bool:
+    return any(isinstance(base, ast.Name) and base.id == "Record" for base in cls.bases)
 
 
 def _defaulted_fields(cls: ast.ClassDef) -> list[tuple[str, int]]:
-    """(name, position) of each dataclass field that has a default; a
+    """(name, position) of each record field that has a default; a
     ClassVar is a class constant, not a field."""
     fields = [node for node in cls.body if isinstance(node, ast.AnnAssign)
               and not (isinstance(node.annotation, ast.Subscript)
@@ -191,7 +194,7 @@ CONSTANT_RECORDS = {"PhysicalConstants"}
 def test_every_default_is_passed_by_some_caller():
     # an option that only tests set, or none, is a constant in disguise;
     # this covers the defaulted parameters of top-level functions and the
-    # defaulted fields of dataclasses, whose constructor is a call too
+    # defaulted fields of records, whose constructor is a call too
     calls = {}
     for directory in CALLER_DIRS:
         for path in (ROOT / directory).rglob("*.py"):
@@ -202,7 +205,7 @@ def test_every_default_is_passed_by_some_caller():
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef):
                 defaults = _defaulted_parameters(node)
-            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            elif isinstance(node, ast.ClassDef) and _is_record(node):
                 records.add(node.name)
                 if node.name in CONSTANT_RECORDS:
                     continue
@@ -216,7 +219,7 @@ def test_every_default_is_passed_by_some_caller():
                 if not passed:
                     unset.append(f"{path.name}:{node.name}({param})")
     assert len(calls) > 100  # the walk found the callers
-    assert len(records) > 20 and CONSTANT_RECORDS <= records  # ... and the dataclasses
+    assert len(records) > 20 and CONSTANT_RECORDS <= records  # ... and the records
     assert unset == []
 
 
