@@ -18,7 +18,7 @@ import os
 import sys
 
 from .config import RunConfig, load_config
-from .core import CONST, NumericalError, write_csv
+from .core import CONST, NumericalError, open_output, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -135,7 +135,7 @@ def _cmd_budget(args, config: RunConfig) -> int:
     }
     text = budget_json(budget, extra)
     path = os.path.join(_outdir(args), "budget.json")
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write(text)
     if args.json:
         print(text, end="")
@@ -158,7 +158,7 @@ def _write_crystal(outdir: str, crystal, payload: dict) -> str:
 
     write_configuration_csv(crystal, os.path.join(outdir, "crystal.csv"))
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    with open(os.path.join(outdir, "crystal_report.json"), "w") as fh:
+    with open_output(os.path.join(outdir, "crystal_report.json")) as fh:
         fh.write(text)
     return text
 

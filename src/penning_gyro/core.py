@@ -1,6 +1,6 @@
 """The base of the package's records, ion species, static trap
 configuration, shared physical constants, the base type of numerical
-failures, and the one writer of output tables.
+failures, and the one way an output file reaches disk.
 
 Every record in the package is immutable after construction.
 """
@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterable, Sequence
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from itertools import islice
 
 
@@ -163,6 +163,22 @@ def axial_frequency(species: IonSpecies, trap: TrapConfig) -> float:
     return math.sqrt(axial_frequency_squared(species, trap))
 
 
+@contextmanager
+def open_output(path, newline=None):
+    """Open ``<path>.part`` for writing text; it replaces ``path`` once the
+    block exits cleanly and is removed on any failure, so ``path`` holds
+    its old bytes or the whole new file."""
+    part = f"{path}.part"
+    try:
+        with open(part, "w", newline=newline) as fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(part)
+        raise
+
+
 # rows formatted, checked and written at a time, so no string holds a whole table
 _BLOCK_ROWS = 1024
 
@@ -174,32 +190,24 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     its shortest repr and reads back bit for bit; None is the empty cell
     that marks a gap; lines end in CRLF.  No cell is quoted: a ValueError
     rejects a header of fewer than two names, a ragged row, and a cell that
-    holds a comma, quote, CR or LF.  The table goes to ``<path>.part`` and
-    replaces ``path`` only once its last row has passed, so a rejected table
-    leaves the directory as it was.  Pass arrays as ``.tolist()``: same
-    text, faster.
+    holds a comma, quote, CR or LF.  The table is written through
+    ``open_output``, so a rejected table leaves the directory as it was.
+    Pass arrays as ``.tolist()``: same text, faster.
     """
     width = len(header)
     if width < 2:
         raise ValueError(f"{path}: a table needs at least two columns, got {width}")
     rows = iter(rows)
-    part = f"{path}.part"
-    try:
-        with open(part, "w", newline="\r\n") as fh:
-            block = [header]
-            while block:
-                text = "\n".join([",".join(["" if cell is None else str(cell) for cell in row])
-                                  for row in block])
-                if set(map(len, block)) != {width}:
-                    raise ValueError(f"{path}: every row must have the header's {width} cells")
-                # with every row `width` wide, any other count of commas or LFs is a cell's
-                if (text.count(",") != len(block) * (width - 1)
-                        or text.count("\n") != len(block) - 1 or '"' in text or "\r" in text):
-                    raise ValueError(f"{path}: a cell holds a comma, quote, CR or LF")
-                fh.write(text + "\n")
-                block = list(islice(rows, _BLOCK_ROWS))
-        os.replace(part, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.remove(part)
-        raise
+    with open_output(path, newline="\r\n") as fh:
+        block = [header]
+        while block:
+            text = "\n".join([",".join(["" if cell is None else str(cell) for cell in row])
+                              for row in block])
+            if set(map(len, block)) != {width}:
+                raise ValueError(f"{path}: every row must have the header's {width} cells")
+            # with every row `width` wide, any other count of commas or LFs is a cell's
+            if (text.count(",") != len(block) * (width - 1)
+                    or text.count("\n") != len(block) - 1 or '"' in text or "\r" in text):
+                raise ValueError(f"{path}: a cell holds a comma, quote, CR or LF")
+            fh.write(text + "\n")
+            block = list(islice(rows, _BLOCK_ROWS))

@@ -199,8 +199,6 @@ def relax(n_ions: int, species: IonSpecies, modes: ModeFrequencies,
     if n_ions < 1:
         raise ValueError("need at least one ion")
     kx, ky, beta = _curvatures(modes, wall)
-    if beta <= 0.0:
-        raise ValueError("beta must be positive for a confined crystal")
     if beta <= wall.delta:
         raise ValueError("wall dominance requires beta > delta")
     a0, e_scale, f_scale = _scales(species, modes)

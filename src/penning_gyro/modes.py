@@ -67,12 +67,20 @@ def compute_modes(species: IonSpecies, trap: TrapConfig) -> ModeFrequencies:
 
     The one stability decision: the radial discriminant omega_c^2 - 2 omega_z^2
     must be positive (at zero the two radial roots meet), else UnstableTrapError.
+    Inputs whose omega_c^2, omega_z^2 or z0^2 leave the float range raise a
+    ValueError that names them.
     Exact identities (used as invariants downstream):
     omega_m + omega_cap_m = omega_c and omega_m * omega_cap_m = omega_z^2/2.
     """
-    omega_c = cyclotron_frequency(species, trap)
-    omega_z = axial_frequency(species, trap)
-    disc = omega_c ** 2 - 2.0 * omega_z ** 2
+    try:
+        omega_c = cyclotron_frequency(species, trap)
+        omega_z = axial_frequency(species, trap)
+        disc = omega_c ** 2 - 2.0 * omega_z ** 2
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(
+            f"trap inputs out of float range: b_field={trap.b_field} T, "
+            f"trap_voltage={trap.trap_voltage} V, char_length_z0={trap.char_length_z0} m"
+        ) from exc
     if not disc > 0.0:
         raise UnstableTrapError(
             f"unstable trap: omega_z={omega_z:.6g} rad/s is not below "

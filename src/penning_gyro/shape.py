@@ -28,7 +28,8 @@ from .modes import ModeFrequencies
 
 
 class WallFrequencyError(ValueError):
-    """omega_r outside the (omega_m, Omega_m) validity window."""
+    """omega_r outside the (omega_m, Omega_m) validity window, or a beta
+    that rounds to <= 0 at its edge."""
 
 
 class AspectRatioBracketError(NumericalError, ValueError):
@@ -59,13 +60,17 @@ class SpheroidGeometry(Record):
 
 
 def shape_beta(modes: ModeFrequencies, omega_r: float) -> float:
-    """Radial-to-axial confinement ratio in the rotating frame."""
-    if not (modes.omega_m < omega_r < modes.omega_cap_m):
+    """Radial-to-axial confinement ratio in the rotating frame, and the one
+    validity decision on a wall frequency: omega_r must lie in
+    (omega_m, Omega_m) and the computed beta, which can round to <= 0 a few
+    ulps inside either edge, must be positive."""
+    wz2 = modes.omega_z ** 2
+    beta = (omega_r * (modes.omega_c - omega_r) - 0.5 * wz2) / wz2
+    if not (modes.omega_m < omega_r < modes.omega_cap_m and beta > 0.0):
         raise WallFrequencyError(
             f"omega_r={omega_r:.6g} rad/s outside the validity window "
-            f"({modes.omega_m:.6g}, {modes.omega_cap_m:.6g}) rad/s")
-    wz2 = modes.omega_z ** 2
-    return (omega_r * (modes.omega_c - omega_r) - 0.5 * wz2) / wz2
+            f"({modes.omega_m:.6g}, {modes.omega_cap_m:.6g}) rad/s (beta={beta:.6g})")
+    return beta
 
 
 def cold_fluid_residual(alpha: float, beta: float) -> float:
@@ -237,11 +242,11 @@ class ShapeSweepRow(Record):
 def shape_sweep(species: IonSpecies, modes: ModeFrequencies,
                 omega_r_grid: Sequence[float],
                 n_ions: float = 1000.0) -> list[ShapeSweepRow]:
-    """One row per grid point; beta outside (0, 1) yields gap markers."""
+    """One row per grid point; beta >= 1, off the oblate branch, yields gaps."""
     rows = []
     for omega_r in omega_r_grid:
         beta = shape_beta(modes, omega_r)
-        if 0.0 < beta < 1.0:
+        if beta < 1.0:
             alpha = aspect_ratio_from_beta(beta)
             geom = spheroid_dimensions(n_ions, alpha, beta, modes.omega_z, species)
             r_cl, z_cl = geom.r_cl, geom.z_cl

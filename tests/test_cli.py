@@ -203,6 +203,45 @@ def test_budget_overflow_names_its_inputs(overrides, names, tmp_path, capsys):
     assert not (tmp_path / "budget.json").exists()
 
 
+@pytest.mark.parametrize("argv, names", [
+    # omega_c^2 overflows
+    (["--set", "b_field_t=1e300", "modes"], ("b_field=1e+300",)),
+    # z0^2 underflows to 0, and omega_z^2 divides by it
+    (["--set", "char_length_m=1e-300", "modes"], ("char_length_z0=1e-300",)),
+    # z0^2 overflows in every trap of the fig 3 sweep
+    (["--set", "char_length_m=1e300", "fig", "3"], ("char_length_z0=1e+300",)),
+], ids=["b_field_overflow", "z0_underflow", "z0_overflow_fig3"])
+def test_trap_overflow_names_its_inputs(argv, names, tmp_path, capsys):
+    code, _, err = run(["--output-dir", str(tmp_path), *argv], capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(name in err for name in (*names, "b_field=", "trap_voltage=",
+                                        "char_length_z0="))
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["budget"], "budget.json"),
+    (["--set", "n_crystal=2", "crystal"], "crystal_report.json"),
+], ids=["budget", "crystal"])
+def test_failed_json_write_keeps_the_old_file(argv, name, tmp_path, capsys, monkeypatch):
+    # a JSON report that cannot replace its path leaves the last one whole
+    real_replace = os.replace
+
+    def refuse_json(src, dst):
+        if str(dst).endswith(".json"):
+            raise OSError(f"cannot replace {dst}")
+        real_replace(src, dst)
+
+    old = b'{"from": "the last run"}\n'
+    (tmp_path / name).write_bytes(old)
+    monkeypatch.setattr(os, "replace", refuse_json)
+    code, _, err = run(["--output-dir", str(tmp_path), *argv], capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: cannot replace")
+    assert (tmp_path / name).read_bytes() == old
+    assert list(tmp_path.glob("*.part")) == []
+
+
 def test_crystal_json(tmp_path, capsys):
     code, out, _ = run(["--output-dir", str(tmp_path), "--json",
                         "--set", "n_crystal=20", "crystal"], capsys)

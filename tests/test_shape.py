@@ -6,7 +6,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from penning_gyro import shape
-from penning_gyro.core import CA40, NumericalError
+from penning_gyro.core import CA40, NumericalError, TrapConfig
+from penning_gyro.equilibrium import relax
+from penning_gyro.modes import compute_modes
 from penning_gyro.shape import (
     AspectRatioBracketError,
     BrentConvergenceError,
@@ -47,6 +49,64 @@ def test_normalized_frequency_identity(modes100):
         assert nu == pytest.approx(1.0 / (2.0 * beta + 1.0), rel=1e-12)
         [row] = shape_sweep(CA40, modes100, [omega_r])
         assert row.normalized_freq == pytest.approx(nu, rel=1e-12)
+
+
+def test_beta_that_rounds_to_zero_inside_the_window_is_rejected():
+    # one ulp above omega_m passes the window test, yet beta rounds to 0.0:
+    # shape_beta rejects it, so neither the sweep nor relax sees a beta <= 0
+    modes = compute_modes(CA40, TrapConfig(1.5514289520771125, 104.30778336689238, 0.01))
+    omega_r = math.nextafter(modes.omega_m, math.inf)
+    assert modes.omega_m < omega_r < modes.omega_cap_m
+    with pytest.raises(WallFrequencyError, match="beta=0"):
+        shape_beta(modes, omega_r)
+    with pytest.raises(WallFrequencyError):
+        shape_sweep(CA40, modes, [omega_r])
+    with pytest.raises(WallFrequencyError):
+        relax(5, CA40, modes, RotatingWallConfig(omega_r=omega_r, delta=0.01))
+
+
+def _rho(b_field: float, voltage: float, z0: float = 0.01) -> float:
+    """omega_c / omega_z = B z0 sqrt(q / (m V)) for Ca+."""
+    return b_field * z0 * math.sqrt(CA40.charge / (CA40.mass * voltage))
+
+
+@pytest.mark.parametrize("b_field", [1.0, 2.0, 3.0])
+def test_wall_lock_beta_is_rho_minus_three_halves(b_field):
+    # at omega_r = omega_z, beta = rho - 3/2: a crystal needs rho > 3/2.  The
+    # grid runs from beyond the oblate branch (rho > 5/2) to the stability
+    # edge (rho = sqrt 2), through the window of every field of fig 3
+    voltages = [b_field ** 2 * (30.0 + k) for k in range(91)]
+    rejected = 0
+    for voltage in voltages:
+        rho = _rho(b_field, voltage)
+        modes = compute_modes(CA40, TrapConfig(b_field, voltage, 0.01))
+        if rho <= 1.5:
+            rejected += 1
+            with pytest.raises(WallFrequencyError):
+                shape_beta(modes, modes.omega_z)
+        else:
+            assert shape_beta(modes, modes.omega_z) == pytest.approx(rho - 1.5, abs=1e-13)
+    # 108 V to 120 V (times B^2) lie past rho = 3/2 at 107.3 V
+    assert rejected == 13
+
+
+@settings(max_examples=200, deadline=None)
+@given(b_field=st.floats(0.5, 3.0), edge_frac=st.floats(0.05, 0.99),
+       w=st.floats(0.05, 3.0))
+def test_beta_closed_form_in_rho_and_w(b_field, edge_frac, w):
+    # omega_r = w omega_z gives beta = w rho - w^2 - 1/2; beta <= 0, and only
+    # there, is a wall frequency outside the window
+    voltage = edge_frac * CA40.charge * (b_field * 0.01) ** 2 / (2.0 * CA40.mass)
+    modes = compute_modes(CA40, TrapConfig(b_field, voltage, 0.01))
+    rho = _rho(b_field, voltage)
+    expected = w * rho - w * w - 0.5
+    tol = 1e-13 * (w * rho + w * w)
+    try:
+        beta = shape_beta(modes, w * modes.omega_z)
+    except WallFrequencyError:
+        assert expected <= tol
+    else:
+        assert beta == pytest.approx(expected, abs=tol)
 
 
 def test_wall_config_validation():

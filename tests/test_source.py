@@ -135,6 +135,36 @@ def test_no_module_imports_csv():
     assert found == []
 
 
+def _writing_opens(tree: ast.Module) -> list[int]:
+    """Lines of the ``open(...)`` calls whose mode writes, appends, creates
+    or updates; a mode that is not a string literal counts as writing."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            continue
+        modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+        mode = modes[0] if modes else ast.Constant("r")
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+")):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_core_is_the_only_writer():
+    # core.open_output writes <path>.part and renames it over the path; a
+    # plain open(path, "w") elsewhere would truncate the last good file first
+    sources = sorted(Path(penning_gyro.__file__).parent.glob("*.py"))
+    assert len(sources) >= 11
+    found = {path.name: _writing_opens(ast.parse(path.read_text())) for path in sources}
+    assert len(found.pop("core.py")) == 1
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the rule reads the mode: config's read-only open passes, a write does not
+    assert _writing_opens(ast.parse("open(p)\nopen(p, 'rb')\nopen(p, mode='r')")) == []
+    assert _writing_opens(ast.parse(
+        "open(p, 'w')\nopen(p, 'a')\nopen(p, mode='x')\nopen(p, 'r+')\nopen(p, m)")) == [1, 2, 3, 4, 5]
+
+
 def test_no_module_imports_dataclasses():
     # the records derive from core.Record: importing dataclasses (and with
     # it inspect) cost about 10 ms of every start, and its decorator about
