@@ -13,24 +13,19 @@ from contextlib import contextmanager, suppress
 from itertools import islice
 
 
-def require_finite(record, names: Iterable[str]) -> None:
-    """Raise a ValueError naming the first of the record's fields that is
-    NaN or infinite; None, the gap of a ``float | None`` field, passes."""
-    for name in names:
-        value = getattr(record, name)
-        if value is not None and not -math.inf < value < math.inf:
-            raise ValueError(f"{name} must be finite")
-
-
 class Record:
     """Base of the package's immutable records, built without ``dataclasses``.
 
     A subclass declares its fields as annotated class attributes, in order;
     a default is the attribute's value, and a ``ClassVar`` is not a field.
-    It gets one generated ``__init__`` with the fields as parameters, which
-    stores them and then calls ``__post_init__``, if the class has one; that
-    may normalise a field with ``object.__setattr__``.  Assignment and
-    deletion raise AttributeError; equality, hash and repr go by the fields.
+    It gets one generated ``__init__`` with the fields as parameters.  That
+    rejects NaN and +-inf in each field annotated ``float`` with
+    ``ValueError("<field> must be finite")`` (a ``float | None`` field also
+    takes None, a gap), reading the annotation as the string ``from
+    __future__ import annotations`` leaves; then it stores the fields and
+    calls ``__post_init__``, if the class has one; that may normalise a
+    field with ``object.__setattr__``.  Assignment and deletion raise
+    AttributeError; equality, hash and repr go by the fields.
     """
 
     field_names: tuple[str, ...] = ()
@@ -43,9 +38,13 @@ class Record:
         params = ", ".join(f"{name}=_defaults[{name!r}]" if name in cls.__dict__ else name
                            for name in names)
         fields = ", ".join(f"{name!r}: {name}" for name in names)
+        guards = {"float": "", "float | None": "{} is not None and "}
+        checks = "".join(f"    if {guards[notes[name]].format(name)}not -_inf < {name} < _inf:\n"
+                         f"        raise ValueError('{name} must be finite')\n"
+                         for name in names if notes[name] in guards)
         post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-        scope = {"_setattr": object.__setattr__, "_defaults": cls.__dict__}
-        exec(f"def __init__(self, {params}):\n"
+        scope = {"_setattr": object.__setattr__, "_defaults": cls.__dict__, "_inf": math.inf}
+        exec(f"def __init__(self, {params}):\n{checks}"
              f"    _setattr(self, '__dict__', {{{fields}}}){post}", scope)
         init = scope["__init__"]
         init.__annotations__ = {**{name: notes[name] for name in names}, "return": None}
@@ -85,10 +84,6 @@ class PhysicalConstants(Record):
     vacuum_permittivity: float = 8.8541878128e-12  # F/m
     reduced_planck: float = 1.054571817e-34        # J s (exact)
     euler_number: float = math.e
-
-    def __post_init__(self):
-        require_finite(self, ("elementary_charge", "atomic_mass_unit", "vacuum_permittivity",
-                              "reduced_planck", "euler_number"))
 
 
 CONST = PhysicalConstants()

@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import IonSpecies, NumericalError, Record, require_finite, write_csv
+from .core import IonSpecies, NumericalError, Record, write_csv
 from .modes import ModeFrequencies
 from .shape import (
     RotatingWallConfig,
@@ -79,9 +79,6 @@ class ConvergenceReport(Record):
     max_force: float          # N, largest residual component
     iterations: int
     restarts_used: int        # always 0 (relax runs one descent); perfbench reads it
-
-    def __post_init__(self):
-        require_finite(self, ("final_energy", "max_force"))
 
     def as_dict(self) -> dict:
         return {
@@ -167,7 +164,7 @@ def _hex_patch(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     spacing = 1.0
     sites = [(0.0, 0.0)]
     ring = 1
-    while len(sites) < 4 * n:
+    while len(sites) < n:
         for k in range(6 * ring):
             angle = 2.0 * math.pi * k / (6 * ring)
             # hexagonal ring approximated on a circle; jitter breaks ties
@@ -252,9 +249,6 @@ class ShapeStats(Record):
     spacing_median: float    # m, nearest-neighbor
     spacing_spread: float    # m, interquartile range
     low_confidence: bool     # True for N < 20
-
-    def __post_init__(self):
-        require_finite(self, ("alpha", "r_cl", "spacing_median", "spacing_spread"))
 
     def as_dict(self) -> dict:
         return {

@@ -17,7 +17,6 @@ from .core import (
     TrapConfig,
     axial_frequency,
     cyclotron_frequency,
-    require_finite,
     write_csv,
 )
 
@@ -33,9 +32,6 @@ class ModeFrequencies(Record):
     omega_z: float       # axial, rad/s
     omega_m: float       # magnetron, rad/s
     omega_cap_m: float   # modified cyclotron, rad/s
-
-    def __post_init__(self):
-        require_finite(self, ("omega_c", "omega_z", "omega_m", "omega_cap_m"))
 
     @property
     def f_c(self) -> float:
@@ -76,11 +72,12 @@ def compute_modes(species: IonSpecies, trap: TrapConfig) -> ModeFrequencies:
         omega_c = cyclotron_frequency(species, trap)
         omega_z = axial_frequency(species, trap)
         disc = omega_c ** 2 - 2.0 * omega_z ** 2
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError):
+        disc = math.nan
+    if not -math.inf < disc < math.inf:  # a step raised, or overflowed to inf
         raise ValueError(
             f"trap inputs out of float range: b_field={trap.b_field} T, "
-            f"trap_voltage={trap.trap_voltage} V, char_length_z0={trap.char_length_z0} m"
-        ) from exc
+            f"trap_voltage={trap.trap_voltage} V, char_length_z0={trap.char_length_z0} m")
     if not disc > 0.0:
         raise UnstableTrapError(
             f"unstable trap: omega_z={omega_z:.6g} rad/s is not below "
@@ -103,9 +100,6 @@ class SweepPoint(Record):
     b_field: float              # T
     voltage: float              # V
     fz_minus_fm: float | None   # Hz; None marks an unstable gap point
-
-    def __post_init__(self):
-        require_finite(self, ("b_field", "voltage", "fz_minus_fm"))
 
 
 def freq_difference_sweep(

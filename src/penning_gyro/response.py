@@ -14,17 +14,18 @@ from .core import Record
 class OscillatorParams(Record):
     omega_z: float          # rad/s
     omega_r: float          # rad/s, drive (crystal rotation) frequency
-    quality_factor: float   # Q = 1/(2 zeta); math.inf allowed (undamped)
+    quality_factor: float   # Q = 1/(2 zeta)
 
     def __post_init__(self):
         if not (0.0 < self.omega_z < math.inf and 0.0 < self.omega_r < math.inf):
             raise ValueError("omega_z and omega_r must be positive and finite")
-        if not 0.0 < self.quality_factor <= math.inf:
-            raise ValueError("quality_factor must be positive (math.inf allowed)")
+        if not 0.0 < self.quality_factor:
+            raise ValueError("quality_factor must be positive")
 
     @property
     def zeta(self) -> float:
-        return 0.0 if math.isinf(self.quality_factor) else 1.0 / (2.0 * self.quality_factor)
+        # 1/(2Q) to the bit, but never 0 for a finite Q: 2Q can overflow
+        return 0.5 / self.quality_factor
 
     @property
     def gamma_ratio(self) -> float:
@@ -47,7 +48,4 @@ def rotation_scale_factor(r_cl: float, params: OscillatorParams) -> float:
         raise ValueError("r_cl must be positive and finite")
     g = params.gamma_ratio
     denominator = math.hypot(1.0 - g * g, 2.0 * params.zeta * g)
-    if denominator == 0.0:  # only Q = inf at omega_r = omega_z reaches zero
-        raise ValueError("quality_factor is inf at resonance: an undamped "
-                         "oscillator driven at resonance has unbounded gain")
     return 0.5 * ((2.0 * params.omega_r * (1.0 / denominator) / params.omega_z ** 2) * r_cl)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 
-from .core import CONST, Record, require_finite
+from .core import CONST, Record
 
 SECONDS_PER_SQRT_HOUR = 60.0  # sqrt(3600 s/h)
 
@@ -51,11 +51,6 @@ class SensitivityBudget(Record):
     arw: float                      # rad/sqrt(h)
     repetitions_per_s: float        # Hz
     cycle_time: float               # s
-
-    def __post_init__(self):
-        require_finite(self, ("theta_max", "delta_zc_single_shot", "amplitude_asd",
-                              "scale_factor", "rotation_asd", "arw", "repetitions_per_s",
-                              "cycle_time"))
 
     def as_dict(self) -> dict:
         return {

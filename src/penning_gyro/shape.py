@@ -3,7 +3,7 @@
 One relation fixes the shape: the axial depolarization coefficient of the
 uniform spheroid equals the confinement it balances,
 A_z(alpha) = 1/(2 beta + 1).  ``aspect_ratio_from_beta`` is its only
-solver; it works on ``cold_fluid_residual``, the relation written with the
+solver; it works on ``_cold_fluid_residual``, the relation written with the
 k0/k1 intermediates.  The published grouping of that relation,
 k1 * [(1-k0^2)^(-1/2) * asin(k0)/k0], simplifies to 3*asin(k0)/k0^3 which
 is >= 3pi/2 on the whole oblate branch and therefore can never equal
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .core import K_COULOMB, IonSpecies, NumericalError, Record, require_finite, write_csv
+from .core import K_COULOMB, IonSpecies, NumericalError, Record, write_csv
 from .modes import ModeFrequencies
 
 
@@ -73,7 +73,7 @@ def shape_beta(modes: ModeFrequencies, omega_r: float) -> float:
     return beta
 
 
-def cold_fluid_residual(alpha: float, beta: float) -> float:
+def _cold_fluid_residual(alpha: float, beta: float) -> float:
     """Residual of the k0/k1 shape relation at a trial aspect ratio."""
     k0 = math.sqrt(1.0 - alpha * alpha)
     k1 = 3.0 * math.sqrt(1.0 - k0 * k0) / k0 ** 2
@@ -145,17 +145,17 @@ def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> float:
 
 def aspect_ratio_from_beta(beta: float) -> float:
     """Aspect ratio alpha = z_cl/r_cl on the oblate branch: the root of
-    ``cold_fluid_residual``.
+    ``_cold_fluid_residual``.
 
     The residual rises strictly on the grid, so bisection finds the first
     grid point where it is >= 0; ``_brentq`` refines the cell that ends
     there unless the residual is exactly zero at that point.
     """
     if not (0.0 < beta < 1.0):
-        raise ValueError("oblate branch requires 0 < beta < 1")
+        raise ValueError(f"oblate branch requires 0 < beta < 1 (beta={beta:.6g})")
 
     def residual(alpha):
-        return cold_fluid_residual(alpha, beta)
+        return _cold_fluid_residual(alpha, beta)
 
     lo, hi = -1, len(_ALPHA_GRID)  # residual < 0 up to lo, >= 0 from hi
     f_lo = f_hi = math.nan  # until a grid point is evaluated
@@ -233,10 +233,6 @@ class ShapeSweepRow(Record):
     alpha: float | None   # None when beta leaves the oblate branch
     r_cl: float | None
     z_cl: float | None
-
-    def __post_init__(self):
-        require_finite(self, ("omega_r", "omega_r_over_omega_z", "normalized_freq", "beta",
-                              "alpha", "r_cl", "z_cl"))
 
 
 def shape_sweep(species: IonSpecies, modes: ModeFrequencies,

@@ -210,13 +210,27 @@ def test_budget_overflow_names_its_inputs(overrides, names, tmp_path, capsys):
     (["--set", "char_length_m=1e-300", "modes"], ("char_length_z0=1e-300",)),
     # z0^2 overflows in every trap of the fig 3 sweep
     (["--set", "char_length_m=1e300", "fig", "3"], ("char_length_z0=1e+300",)),
-], ids=["b_field_overflow", "z0_underflow", "z0_overflow_fig3"])
+    # q V / (m z0^2) overflows to inf by multiplication, without an exception
+    (["--set", "trap_voltage_v=1e300", "modes"], ("trap_voltage=1e+300",)),
+    # q B / m overflows to inf, so omega_c^2 does too
+    (["--set", "b_field_t=1e303", "modes"], ("b_field=1e+303",)),
+], ids=["b_field_overflow", "z0_underflow", "z0_overflow_fig3", "voltage_overflow_to_inf",
+        "b_field_overflow_to_inf"])
 def test_trap_overflow_names_its_inputs(argv, names, tmp_path, capsys):
     code, _, err = run(["--output-dir", str(tmp_path), *argv], capsys)
     assert code == EXIT_CONFIG
     assert err.startswith("error: ") and err.count("\n") == 1
     assert all(name in err for name in (*names, "b_field=", "trap_voltage=",
                                         "char_length_z0="))
+
+
+def test_prolate_beta_is_given_in_the_error(tmp_path, capsys):
+    # at 30 V the wall lock gives beta = 1.33689, off the oblate branch
+    code, _, err = run(["--output-dir", str(tmp_path), "--set", "trap_voltage_v=30", "budget"],
+                       capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "beta=1.33689" in err
 
 
 @pytest.mark.parametrize("argv, name", [

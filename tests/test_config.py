@@ -30,8 +30,9 @@ def test_parse_bad_number():
         parse_config_text("n_crystal = lots\n")
     with pytest.raises(ConfigError, match="trap_voltage_v.*expects a number"):
         parse_config_text("trap_voltage_v = lots\n")
-    with pytest.raises(ConfigError, match="finite"):
-        parse_config_text("trap_voltage_v = inf\n")
+    # a number that is not finite is rejected by the record, naming the field
+    with pytest.raises(ValueError, match="trap_voltage_v must be finite"):
+        load_config(None, ["trap_voltage_v=inf"])
 
 
 def test_parse_missing_equals():

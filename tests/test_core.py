@@ -144,7 +144,7 @@ def test_species_validation():
     (lambda: SpheroidGeometry(r_cl=1e-4, z_cl=1e-5, density_n=math.inf), "density_n"),
     (lambda: SpheroidGeometry(r_cl=1e-4, z_cl=1e-5, density_n=0.0), "density_n"),
     (lambda: RotationInput(omega_x=math.nan), "omega_x"),
-    # Q = inf is allowed, but its gain at resonance is unbounded
+    # Q must be finite: an undamped gain at resonance is unbounded
     (lambda: rotation_scale_factor(2.2e-4, OscillatorParams(1.55e6, 1.55e6, math.inf)),
      "quality_factor"),
     # A_z's closed form holds for an oblate spheroid, 0 < alpha < 1
@@ -262,6 +262,26 @@ def test_record_post_init_runs_and_can_normalise_a_field():
         Point(1.0, -1.0)
     # no __post_init__: the fields are stored as given
     assert OtherPoint(1).x == 1 and type(OtherPoint(1).x) is int
+
+
+class Reading(Record):
+    # string annotations, as ``from __future__ import annotations`` leaves
+    # them in the package; no __post_init__
+    value: "float"
+    gap: "float | None" = None
+    count: "int" = 0
+    limit: "ClassVar[float]" = math.inf
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus_inf"])
+def test_record_float_fields_are_finite_by_type(bad):
+    for name in ("value", "gap"):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite$"):
+            Reading(**{"value": 1.0, name: bad})
+    # None is an optional float's gap; an int field and a ClassVar go unchecked
+    assert Reading(1.0, None).gap is None
+    assert Reading(1.0, 2.0, bad).count is bad
+    assert Reading.field_names == ("value", "gap", "count") and Reading(1.0).limit == math.inf
 
 
 def test_trap_validation():

@@ -3,8 +3,8 @@
 Every public record and public function of the package that takes a
 float is found with ``inspect``; each float parameter gets NaN, +inf and
 -inf in turn, the others held at a valid baseline, and must raise a
-``ValueError`` whose message names it.  A new float field or parameter
-fails here until the table below gives it a baseline.
+``ValueError`` whose message names it; none is exempt.  A new float
+field or parameter fails here until the table below gives it a baseline.
 """
 import importlib
 import inspect
@@ -76,17 +76,6 @@ BASELINES = {
                           "omega_r_grid": [MODES.omega_z], "n_ions": 1000.0},
 }
 
-# the explicit exceptions, each with its reason
-ALLOWED = {
-    # Q = inf means undamped; rotation_scale_factor raises for it at omega_r = omega_z
-    ("response.OscillatorParams", "quality_factor", math.inf),
-}
-UNGUARDED = {
-    # runs ~20 times per shape solve, always from aspect_ratio_from_beta,
-    # which checks beta first and feeds grid alphas
-    "shape.cold_fluid_residual",
-}
-
 SOURCES = sorted(p.stem for p in Path(penning_gyro.__file__).parent.glob("*.py")
                  if p.stem != "__init__")
 
@@ -117,20 +106,18 @@ def _targets() -> dict:
 
 
 TARGETS = _targets()
-CASES = [(key, param) for key, (_, floats) in TARGETS.items() if key not in UNGUARDED
-         for param in floats]
+CASES = [(key, param) for key, (_, floats) in TARGETS.items() for param in floats]
 
 
 def test_every_float_parameter_has_a_baseline():
-    assert len(TARGETS) >= 30  # the walk found the package
+    assert len(TARGETS) >= 29  # the walk found the package
     missing = [f"{key}({param})" for key, param in CASES
                if param not in BASELINES.get(key, {})]
     assert missing == []
-    assert UNGUARDED <= set(TARGETS)  # no stale exception
-    assert set(BASELINES) == set(TARGETS) - UNGUARDED
+    assert set(BASELINES) == set(TARGETS)
 
 
-@pytest.mark.parametrize("key", sorted(set(TARGETS) - UNGUARDED))
+@pytest.mark.parametrize("key", sorted(TARGETS))
 def test_baseline_is_valid(key):
     TARGETS[key][0](**BASELINES[key])
 
@@ -138,8 +125,6 @@ def test_baseline_is_valid(key):
 @pytest.mark.parametrize("key, param", CASES, ids=[f"{k}.{p}" for k, p in CASES])
 @given(bad=st.sampled_from([math.nan, math.inf, -math.inf]))
 def test_non_finite_float_is_rejected_by_name(key, param, bad):
-    if (key, param, bad) in ALLOWED:
-        return
     target = TARGETS[key][0]
     with pytest.raises(ValueError, match=rf"(?<!\w){re.escape(param)}(?!\w)"):
         target(**{**BASELINES[key], param: bad})

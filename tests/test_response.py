@@ -38,9 +38,11 @@ def test_params_validation():
 def test_zeta_from_q():
     p = OscillatorParams(omega_z=1.0, omega_r=1.0, quality_factor=50.0)
     assert p.zeta == pytest.approx(0.01)
-    undamped = OscillatorParams(omega_z=1.0, omega_r=0.5,
-                                quality_factor=math.inf)
-    assert undamped.zeta == 0.0
+    # Q is finite: an undamped oscillator is not a valid input
+    with pytest.raises(ValueError, match="quality_factor"):
+        OscillatorParams(omega_z=1.0, omega_r=0.5, quality_factor=math.inf)
+    # ... and no finite Q gives zeta = 0, whose gain at resonance is unbounded
+    assert OscillatorParams(omega_z=1.0, omega_r=1.0, quality_factor=1e308).zeta > 0.0
 
 
 def test_gain_resonance_equals_q():
@@ -86,9 +88,10 @@ def test_amplitude_linear_in_rotation(ca40, trap10, modes10):
     assert measured(5.0) == pytest.approx(5.0 * a1, rel=1e-9, abs=0)
     # sign of the rotation does not change the magnitude
     assert measured(-1.0) == pytest.approx(a1, rel=1e-12, abs=0)
-    undamped = OscillatorParams(omega_z=modes10.omega_z, omega_r=modes10.omega_m,
-                                quality_factor=math.inf)
-    assert a1 == pytest.approx(2.0 * rotation_scale_factor(25e-6, undamped), rel=0.05)
+    # off resonance Q = 1e12 gives the undamped gain of the integrator's ion
+    high_q = OscillatorParams(omega_z=modes10.omega_z, omega_r=modes10.omega_m,
+                              quality_factor=1e12)
+    assert a1 == pytest.approx(2.0 * rotation_scale_factor(25e-6, high_q), rel=0.05)
 
 
 def test_cloud_average_is_half_outermost():

@@ -10,6 +10,7 @@ from penning_gyro.core import CA40, NumericalError, TrapConfig
 from penning_gyro.equilibrium import relax
 from penning_gyro.modes import compute_modes
 from penning_gyro.shape import (
+    _cold_fluid_residual,
     AspectRatioBracketError,
     BrentConvergenceError,
     RotatingWallConfig,
@@ -17,7 +18,6 @@ from penning_gyro.shape import (
     WallFrequencyError,
     aspect_ratio_from_beta,
     axial_depolarization,
-    cold_fluid_residual,
     coulomb_trap_length,
     oracle_aspect_ratio_depolarization,
     planarity_check,
@@ -124,7 +124,7 @@ def test_oracle_anchor():
 def test_root_residual_small():
     for beta in (0.01, 0.054, 0.3, 0.7, 0.99):
         alpha = aspect_ratio_from_beta(beta)
-        assert abs(cold_fluid_residual(alpha, beta)) < 1e-12
+        assert abs(_cold_fluid_residual(alpha, beta)) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -145,7 +145,7 @@ def test_both_routes_monotone_in_beta():
 def test_residual_rises_strictly_on_the_scan_grid():
     # the premise of returning the first root: one sign change at most
     for beta in (1e-7, 1e-3, 0.054, *(k / 100 for k in range(1, 100)), 0.999):
-        values = [cold_fluid_residual(a, beta) for a in shape._ALPHA_GRID]
+        values = [_cold_fluid_residual(a, beta) for a in shape._ALPHA_GRID]
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -160,9 +160,9 @@ def _walk_then_scipy_brentq(beta):
     sign change, then refine that cell with scipy's brentq."""
     previous = 0.0
     for i, alpha in enumerate(shape._ALPHA_GRID):
-        value = shape.cold_fluid_residual(alpha, beta)
+        value = shape._cold_fluid_residual(alpha, beta)
         if previous * value < 0.0:
-            return brentq(shape.cold_fluid_residual, shape._ALPHA_GRID[i - 1], alpha,
+            return brentq(shape._cold_fluid_residual, shape._ALPHA_GRID[i - 1], alpha,
                           args=(beta,), xtol=1e-15, rtol=8.9e-16)
         if value == 0.0:
             return alpha
@@ -227,7 +227,7 @@ def test_brent_port_matches_scipy_brentq(root, left, right, slope, cubic, scale,
 def test_exact_zero_on_the_grid_is_returned(monkeypatch, index):
     # a residual that vanishes exactly at one grid point, rising through it
     zero = shape._ALPHA_GRID[index]
-    monkeypatch.setattr(shape, "cold_fluid_residual", lambda alpha, beta: alpha - zero)
+    monkeypatch.setattr(shape, "_cold_fluid_residual", lambda alpha, beta: alpha - zero)
     assert _walk_then_scipy_brentq(0.5) == zero
     assert aspect_ratio_from_beta(0.5) == zero
 
@@ -254,7 +254,7 @@ def test_cold_fluid_residual_consistent_with_depolarization():
     # 3/(2 beta + 1) = 3 A_z at the root ties the two formulations together
     beta = 0.054
     alpha = oracle_aspect_ratio_depolarization(beta)
-    assert cold_fluid_residual(alpha, beta) == pytest.approx(0.0, abs=1e-12)
+    assert _cold_fluid_residual(alpha, beta) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_coulomb_trap_length_anchor(modes100):

@@ -177,6 +177,20 @@ def test_no_module_imports_dataclasses():
     assert found == []
 
 
+def test_record_annotations_are_strings():
+    # Record's generated finiteness check and test_nonfinite read the
+    # annotation strings that `from __future__ import annotations` leaves;
+    # an evaluated `float` would escape both
+    notes = [note for stem in (path.stem for path in SOURCES)
+             for cls in vars(importlib.import_module(f"penning_gyro.{stem}")).values()
+             if inspect.isclass(cls) and cls.__module__ == f"penning_gyro.{stem}"
+             and issubclass(cls, penning_gyro.core.Record)
+             for note in cls.__annotations__.values()]
+    assert len(notes) > 80  # the walk found the records
+    assert [note for note in notes if not isinstance(note, str)] == []
+    assert notes.count("float") > 50 and notes.count("float | None") > 0
+
+
 CALLER_DIRS = ("src", "scripts", "perfbench")
 
 
