@@ -13,6 +13,7 @@ sizes it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,7 +26,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process.  Reusing it leaks nothing between
+    calls: argparse copies ``--set``'s default list before appending."""
     parser = argparse.ArgumentParser(
         prog="penning-gyro",
         description="Design-chain calculations for a trapped-ion vibration "

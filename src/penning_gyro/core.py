@@ -174,35 +174,55 @@ def open_output(path, newline=None):
         raise
 
 
-# rows formatted, checked and written at a time, so no string holds a whole table
-_BLOCK_ROWS = 1024
+# rows formatted, checked and written at a time, so no string holds a whole
+# table; a block's buffers stay near 20 kB, because blocks of ~150 kB left
+# megabytes of freed holes in the C heap that the process kept
+_BLOCK_ROWS = 128
+
+
+def _cell_blocks(path, header: Sequence[str], rows) -> Iterable[list]:
+    """The header's cells, then each block of up to ``_BLOCK_ROWS`` rows, as
+    one flat list of cells per block; a row not the header's width raises."""
+    width = len(header)
+    ragged = f"{path}: every row must have the header's {width} cells"
+    yield ["" if cell is None else cell for cell in header]
+    if hasattr(rows, "ndim"):  # an array, read without importing numpy
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise ValueError(ragged)
+        for start in range(0, rows.shape[0], _BLOCK_ROWS):
+            yield rows[start:start + _BLOCK_ROWS].ravel().tolist()
+        return
+    rows = iter(rows)
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        if set(map(len, block)) != {width}:
+            raise ValueError(ragged)
+        yield ["" if cell is None else cell for row in block for cell in row]
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write one output table in the csv module's default format.
 
-    Every table goes through here.  A cell is its ``str()``, so a float is
-    its shortest repr and reads back bit for bit; None is the empty cell
-    that marks a gap; lines end in CRLF.  No cell is quoted: a ValueError
-    rejects a header of fewer than two names, a ragged row, and a cell that
-    holds a comma, quote, CR or LF.  The table is written through
-    ``open_output``, so a rejected table leaves the directory as it was.
-    Pass arrays as ``.tolist()``: same text, faster.
+    Every table goes through here.  ``rows`` is an iterable of rows or a
+    2-D array; pass an array as it is, not as ``.tolist()``: the text is
+    the same, and each block of it is formatted in one call.  A cell is its
+    ``str()``, so a float is its shortest repr and reads back bit for bit;
+    None in a row that is not an array is the empty cell that marks a gap;
+    lines end in CRLF.  No cell is quoted: a ValueError rejects a header of
+    fewer than two names, a ragged row or an array of another width or
+    dimension, and a cell that holds a comma, quote, CR or LF.  The table is
+    written through ``open_output``, so a rejected table leaves the
+    directory as it was.
     """
     width = len(header)
     if width < 2:
         raise ValueError(f"{path}: a table needs at least two columns, got {width}")
-    rows = iter(rows)
+    line = ",".join(["%s"] * width) + "\n"
     with open_output(path, newline="\r\n") as fh:
-        block = [header]
-        while block:
-            text = "\n".join([",".join(["" if cell is None else str(cell) for cell in row])
-                              for row in block])
-            if set(map(len, block)) != {width}:
-                raise ValueError(f"{path}: every row must have the header's {width} cells")
-            # with every row `width` wide, any other count of commas or LFs is a cell's
-            if (text.count(",") != len(block) * (width - 1)
-                    or text.count("\n") != len(block) - 1 or '"' in text or "\r" in text):
+        for cells in _cell_blocks(path, header, rows):
+            n = len(cells) // width
+            text = (line * n) % tuple(cells)
+            # with n lines of `width` cells, any other count of commas or LFs is a cell's
+            if (text.count(",") != n * (width - 1)
+                    or text.count("\n") != n or '"' in text or "\r" in text):
                 raise ValueError(f"{path}: a cell holds a comma, quote, CR or LF")
-            fh.write(text + "\n")
-            block = list(islice(rows, _BLOCK_ROWS))
+            fh.write(text)

@@ -198,9 +198,9 @@ def extract_spectrum(traj: Trajectory, coordinate: str = "z") -> list[SpectralPe
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     write_csv(path, ["t", "x", "y", "z", "vx", "vy", "vz"],
-              np.column_stack([traj.times, traj.positions, traj.velocities]).tolist())
+              np.column_stack([traj.times, traj.positions, traj.velocities]))
 
 
 def write_spectrum_csv(traj: Trajectory, coordinate: str, path) -> None:
     write_csv(path, ["freq_hz", "power"],
-              np.column_stack(periodogram(traj, coordinate)).tolist())
+              np.column_stack(periodogram(traj, coordinate)))

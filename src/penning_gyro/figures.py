@@ -65,7 +65,7 @@ def fig2_axial_response(config: RunConfig, outdir: str) -> list[str]:
     traj = _single_particle_run(config, total_time=2e-3, stride=8)
     path = os.path.join(outdir, "fig2_axial.csv")
     write_csv(path, ["t", "z"],
-              np.column_stack([traj.times, traj.positions[:, 2]]).tolist())
+              np.column_stack([traj.times, traj.positions[:, 2]]))
     spec_path = os.path.join(outdir, "fig2_spectrum.csv")
     write_spectrum_csv(traj, "z", spec_path)
     return [path, spec_path]

@@ -42,10 +42,15 @@ def rotation_scale_factor(r_cl: float, params: OscillatorParams) -> float:
     resonance this reduces exactly to Z = (2 Q / omega_z) Omega_x Y.
     The cloud average is half of the outermost-ion amplitude.  (A uniform
     disk's mean radius would be 2 r_cl/3; the half-the-outermost rule is
-    kept deliberately as the cruder but standard bookkeeping.)
+    kept deliberately as the cruder but standard bookkeeping.)  A result
+    that overflows raises a ValueError naming Q and r_cl.
     """
     if not 0.0 < r_cl < math.inf:
         raise ValueError("r_cl must be positive and finite")
     g = params.gamma_ratio
     denominator = math.hypot(1.0 - g * g, 2.0 * params.zeta * g)
-    return 0.5 * ((2.0 * params.omega_r * (1.0 / denominator) / params.omega_z ** 2) * r_cl)
+    scale = 0.5 * ((2.0 * params.omega_r * (1.0 / denominator) / params.omega_z ** 2) * r_cl)
+    if not scale < math.inf:
+        raise ValueError(f"quality_factor={params.quality_factor:g} and r_cl={r_cl:g} m give "
+                         f"an infinite rotation scale factor")
+    return scale

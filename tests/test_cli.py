@@ -8,9 +8,10 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import penning_gyro
-from penning_gyro.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from penning_gyro.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _build_parser, main
 from penning_gyro.config import RunConfig
 from penning_gyro.dynamics import IntegrationError
 from penning_gyro.equilibrium import CoincidentIonsError, ConvergenceError, RelaxationConfig
@@ -193,7 +194,9 @@ def test_budget_text(tmp_path, capsys):
     (["decay_rate_hz=1e5", "precession_s=1"], ("gamma=100000", "tau=1 s")),
     # exp(700) is finite, but over F0 tau = 7e-60 the resolution is not
     (["odf_force_n=1e-60", "precession_s=7"], ("f0=1e-60", "tau=7 s")),
-], ids=["exp_overflow", "resolution_overflow"])
+    # a finite Q whose resonant gain 2Q/omega_z overflows the scale factor
+    (["q_factor=1e308"], ("quality_factor=1e+308", "r_cl=0.000387157 m")),
+], ids=["exp_overflow", "resolution_overflow", "gain_overflow"])
 def test_budget_overflow_names_its_inputs(overrides, names, tmp_path, capsys):
     argv = [arg for pair in overrides for arg in ("--set", pair)]
     code, _, err = run(["--output-dir", str(tmp_path), *argv, "budget"], capsys)
@@ -222,6 +225,46 @@ def test_trap_overflow_names_its_inputs(argv, names, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert all(name in err for name in (*names, "b_field=", "trap_voltage=",
                                         "char_length_z0="))
+
+
+# every RunConfig field at extreme finite values; an int field takes the
+# integral ones as integers, and the rest fail to parse
+EXTREMES = ["0", "-1", "1e30", "1e-30", "1e300", "1e-300"]
+SWEPT_COMMANDS = [["constants"], ["modes"], ["budget"], *(["fig", str(k)] for k in (3, 4, 5, 6))]
+
+
+def _config_line(field: str, text: str) -> str:
+    if RunConfig.__annotations__[field] == "int" and float(text).is_integer():
+        text = str(int(float(text)))
+    return f"{field}={text}"
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.dictionaries(st.sampled_from(RunConfig.field_names), st.sampled_from(EXTREMES),
+                             min_size=1, max_size=3),
+       command=st.sampled_from(SWEPT_COMMANDS))
+def test_extreme_config_values_exit_cleanly(lines, command, tmp_path, capsys):
+    argv = [arg for field, text in lines.items() for arg in ("--set", _config_line(field, text))]
+    code, _, err = run(["--output-dir", str(tmp_path), *argv, *command], capsys)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+    assert "Traceback" not in err
+    if code != EXIT_OK:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_parser_is_built_once_and_leaks_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    assert _build_parser() is _build_parser()
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(["--set", "n_crystal=10", "--json", "--output-dir", "first", "budget"],
+                       capsys)
+    assert code == EXIT_OK and json.loads(out)["n_crystal"] == 10
+    # no --set, --json or --output-dir of the first call survives into the second
+    code, out, _ = run(["budget"], capsys)
+    assert code == EXIT_OK and out.startswith("beta = ")
+    assert json.loads((tmp_path / "budget.json").read_text())["n_crystal"] == 1000
+    assert json.loads((tmp_path / "first" / "budget.json").read_text())["n_crystal"] == 10
+    assert _build_parser().get_default("overrides") == []
 
 
 def test_prolate_beta_is_given_in_the_error(tmp_path, capsys):

@@ -369,6 +369,41 @@ def test_write_csv_matches_the_csv_module(tmp_path, data, width, n_rows, at_end)
     assert (tmp_path / "table.csv").read_bytes() == expected
 
 
+FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, math.inf, -math.inf, math.nan,
+                                                  5e-324, 1e16, 1e-5]))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), width=st.integers(min_value=2, max_value=6),
+       n_rows=st.sampled_from([0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]),
+       fortran=st.booleans())
+def test_write_csv_of_an_array_matches_its_rows_and_the_csv_module(tmp_path, data, width,
+                                                                  n_rows, fortran):
+    header = [f"c{k}" for k in range(width)]
+    # one drawn value fills the array and up to 8 drawn cells land anywhere in it
+    array = np.full((n_rows, width), data.draw(FLOATS))
+    for _ in range(data.draw(st.integers(min_value=0, max_value=8)) if n_rows else 0):
+        array[data.draw(st.integers(0, n_rows - 1)), data.draw(st.integers(0, width - 1))] = \
+            data.draw(FLOATS)
+    if fortran:
+        array = np.asfortranarray(array)
+    write_csv(tmp_path / "array.csv", header, array)
+    write_csv(tmp_path / "rows.csv", header, array.tolist())
+    expected = _csv_module_bytes(tmp_path / "csv_module.csv", header, array.tolist())
+    assert (tmp_path / "array.csv").read_bytes() == expected
+    assert (tmp_path / "rows.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("rows", [np.zeros(2), np.zeros((3, 2, 2)), np.zeros((3, 3))],
+                         ids=["one_dimension", "three_dimensions", "wrong_width"])
+def test_write_csv_rejects_an_array_that_is_not_a_table(tmp_path, rows):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        write_csv(path, ["a", "b"], rows)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("header, rows", [
     *[(["a", "b"], [[1.0, f"x{sep}y"]]) for sep in SEPARATORS],
     *[(["a", f"b{sep}"], [[1.0, 2.0]]) for sep in SEPARATORS],
