@@ -13,19 +13,24 @@ from contextlib import contextmanager, suppress
 from itertools import islice
 
 
+Positive = float  # a float field that Record's generated __init__ holds to 0 < x < inf
+
+
 class Record:
     """Base of the package's immutable records, built without ``dataclasses``.
 
     A subclass declares its fields as annotated class attributes, in order;
     a default is the attribute's value, and a ``ClassVar`` is not a field.
     It gets one generated ``__init__`` with the fields as parameters.  That
-    rejects NaN and +-inf in each field annotated ``float`` with
-    ``ValueError("<field> must be finite")`` (a ``float | None`` field also
-    takes None, a gap), reading the annotation as the string ``from
-    __future__ import annotations`` leaves; then it stores the fields and
-    calls ``__post_init__``, if the class has one; that may normalise a
-    field with ``object.__setattr__``.  Assignment and deletion raise
-    AttributeError; equality, hash and repr go by the fields.
+    reads each annotation as the string ``from __future__ import
+    annotations`` leaves, and raises ``ValueError("<field> must be
+    finite")`` on NaN or +-inf in a ``float`` field (a ``float | None``
+    field also takes None, a gap) and ``ValueError("<field> must be
+    positive and finite")`` on anything but 0 < x < inf in a ``Positive``
+    one; then it stores the fields and calls ``__post_init__``, if the
+    class has one; that may normalise a field with ``object.__setattr__``.
+    Assignment and deletion raise AttributeError; equality, hash and repr
+    go by the fields.
     """
 
     field_names: tuple[str, ...] = ()
@@ -38,10 +43,13 @@ class Record:
         params = ", ".join(f"{name}=_defaults[{name!r}]" if name in cls.__dict__ else name
                            for name in names)
         fields = ", ".join(f"{name!r}: {name}" for name in names)
-        guards = {"float": "", "float | None": "{} is not None and "}
-        checks = "".join(f"    if {guards[notes[name]].format(name)}not -_inf < {name} < _inf:\n"
-                         f"        raise ValueError('{name} must be finite')\n"
-                         for name in names if notes[name] in guards)
+        # annotation: (guard, lower bound, what the field must be)
+        rules = {"float": ("", "-_inf", "finite"), "Positive": ("", "0.0", "positive and finite"),
+                 "float | None": ("{} is not None and ", "-_inf", "finite")}
+        checks = "".join(f"    if {guard.format(name)}not {low} < {name} < _inf:\n"
+                         f"        raise ValueError('{name} must be {must}')\n"
+                         for name in names if notes[name] in rules
+                         for guard, low, must in [rules[notes[name]]])
         post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
         scope = {"_setattr": object.__setattr__, "_defaults": cls.__dict__, "_inf": math.inf}
         exec(f"def __init__(self, {params}):\n{checks}"
@@ -98,14 +106,12 @@ class NumericalError(Exception):
 
 class IonSpecies(Record):
     name: str
-    mass: float    # kg
-    charge: float  # C
+    mass: Positive  # kg
+    charge: float   # C
 
     def __post_init__(self):
-        if not 0.0 < self.mass < math.inf:
-            raise ValueError("ion mass must be positive and finite")
-        if not (math.isfinite(self.charge) and self.charge != 0.0):
-            raise ValueError("ion charge must be finite and nonzero")
+        if self.charge == 0.0:
+            raise ValueError("charge must be nonzero")
 
 
 # Bare atomic mass of 40Ca; no electron-mass correction is applied
@@ -120,27 +126,15 @@ CA40 = IonSpecies(
 class TrapConfig(Record):
     """Static axial magnetic field (+z) plus quadrupole electric trap."""
 
-    b_field: float          # T
-    trap_voltage: float     # V
-    char_length_z0: float   # m
-
-    def __post_init__(self):
-        if not 0.0 < self.b_field < math.inf:
-            raise ValueError("b_field must be positive and finite")
-        if not 0.0 < self.trap_voltage < math.inf:
-            raise ValueError("trap_voltage must be positive and finite")
-        if not 0.0 < self.char_length_z0 < math.inf:
-            raise ValueError("char_length_z0 must be positive and finite")
+    b_field: Positive          # T
+    trap_voltage: Positive     # V
+    char_length_z0: Positive   # m
 
 
 class RotationInput(Record):
     """Angular-velocity input about the x axis (the measurand)."""
 
     omega_x: float = 0.0  # rad/s; may be zero or negative
-
-    def __post_init__(self):
-        if not math.isfinite(self.omega_x):
-            raise ValueError("omega_x must be finite")
 
 
 def cyclotron_frequency(species: IonSpecies, trap: TrapConfig) -> float:

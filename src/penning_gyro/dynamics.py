@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     IonSpecies,
     NumericalError,
+    Positive,
     Record,
     RotationInput,
     TrapConfig,
@@ -49,15 +50,13 @@ class ParticleState(Record):
 
 
 class IntegratorConfig(Record):
-    time_step: float               # s, the RK4 step
+    time_step: Positive            # s, the RK4 step
     total_time: float              # s
     sample_stride: int = 1         # keep every n-th step
 
     def __post_init__(self):
-        if not self.time_step > 0.0:
-            raise ValueError("time_step must be positive")
-        if not self.time_step <= self.total_time < math.inf:
-            raise ValueError("total_time must be finite and >= time_step")
+        if self.total_time < self.time_step:
+            raise ValueError("total_time must be >= time_step")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
 

@@ -30,7 +30,7 @@ SINGLE_PARTICLE_VOLTAGE = 10.0    # V
 SINGLE_PARTICLE_OMEGA_X = 10.0    # rad/s
 SINGLE_PARTICLE_RADIUS = 25e-6    # m (50 um orbit diameter)
 SWEEP_B_FIELDS = (1.0, 2.0, 3.0)  # T
-SWEEP_VOLTAGE_GRID = np.linspace(2.5, 125.0, 50)
+SWEEP_VOLTAGE_GRID = tuple(np.linspace(2.5, 125.0, 50).tolist())  # V
 SHAPE_VOLTAGES = (10.0, 50.0, 100.0)  # V
 
 
@@ -94,7 +94,7 @@ def fig4_shape_collapse(config: RunConfig, outdir: str) -> list[str]:
     collapse onto one line is a computed fact in the file.
     """
     species = config.ion()
-    beta_grid = np.linspace(0.005, 0.10, 39)
+    beta_grid = np.linspace(0.005, 0.10, 39).tolist()
     all_modes = [compute_modes(species, TrapConfig(config.b_field_t, v,
                                                    config.char_length_m))
                  for v in SHAPE_VOLTAGES]
@@ -113,7 +113,7 @@ def fig4_shape_collapse(config: RunConfig, outdir: str) -> list[str]:
 
 def _wall_grid(modes):
     """80 wall frequencies just inside the (omega_m, Omega_m) window."""
-    return np.linspace(modes.omega_m * 1.001, modes.omega_cap_m * 0.999, 80)
+    return np.linspace(modes.omega_m * 1.001, modes.omega_cap_m * 0.999, 80).tolist()
 
 
 def fig5_shape_vs_wall(config: RunConfig, outdir: str) -> list[str]:

@@ -8,19 +8,13 @@ from __future__ import annotations
 
 import math
 
-from .core import Record
+from .core import Positive, Record
 
 
 class OscillatorParams(Record):
-    omega_z: float          # rad/s
-    omega_r: float          # rad/s, drive (crystal rotation) frequency
-    quality_factor: float   # Q = 1/(2 zeta)
-
-    def __post_init__(self):
-        if not (0.0 < self.omega_z < math.inf and 0.0 < self.omega_r < math.inf):
-            raise ValueError("omega_z and omega_r must be positive and finite")
-        if not 0.0 < self.quality_factor:
-            raise ValueError("quality_factor must be positive")
+    omega_z: Positive          # rad/s
+    omega_r: Positive          # rad/s, drive (crystal rotation) frequency
+    quality_factor: Positive   # Q = 1/(2 zeta)
 
     @property
     def zeta(self) -> float:

@@ -15,23 +15,19 @@ from __future__ import annotations
 import json
 import math
 
-from .core import CONST, Record
+from .core import CONST, Positive, Record
 
 SECONDS_PER_SQRT_HOUR = 60.0  # sqrt(3600 s/h)
 
 
 class ODFParams(Record):
-    f0: float     # N, per-ion spin-dependent force
-    tau: float    # s, precession duration
-    gamma: float  # 1/s, spontaneous decay rate
+    f0: Positive   # N, per-ion spin-dependent force
+    tau: Positive  # s, precession duration
+    gamma: float   # 1/s, spontaneous decay rate
 
     def __post_init__(self):
-        if not 0.0 < self.f0 < math.inf:
-            raise ValueError("f0 must be positive and finite")
-        if not 0.0 < self.tau < math.inf:
-            raise ValueError("tau must be positive and finite")
-        if not 0.0 <= self.gamma < math.inf:
-            raise ValueError("gamma must be non-negative and finite")
+        if self.gamma < 0.0:
+            raise ValueError("gamma must be non-negative")
 
 
 class EnsembleSpec(Record):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .core import K_COULOMB, IonSpecies, NumericalError, Record, write_csv
+from .core import K_COULOMB, IonSpecies, NumericalError, Positive, Record, write_csv
 from .modes import ModeFrequencies
 
 
@@ -37,26 +37,22 @@ class AspectRatioBracketError(NumericalError, ValueError):
 
 
 class RotatingWallConfig(Record):
-    omega_r: float          # rad/s, crystal rotation frequency
+    omega_r: Positive       # rad/s, crystal rotation frequency
     delta: float            # relative wall strength
 
     def __post_init__(self):
         if not (0.0 <= self.delta < 1.0):
             raise ValueError("delta must lie in [0, 1)")
-        if not 0.0 < self.omega_r < math.inf:
-            raise ValueError("omega_r must be positive and finite")
 
 
 class SpheroidGeometry(Record):
-    r_cl: float        # m, equatorial radius
-    z_cl: float        # m, axial half-extent
-    density_n: float   # m^-3
+    r_cl: float           # m, equatorial radius
+    z_cl: Positive        # m, axial half-extent
+    density_n: Positive   # m^-3
 
     def __post_init__(self):
-        if not (math.inf > self.r_cl > self.z_cl > 0.0):
-            raise ValueError("oblate branch requires finite r_cl > z_cl > 0")
-        if not 0.0 < self.density_n < math.inf:
-            raise ValueError("density_n must be positive and finite")
+        if self.r_cl <= self.z_cl:
+            raise ValueError("oblate branch requires r_cl > z_cl")
 
 
 def shape_beta(modes: ModeFrequencies, omega_r: float) -> float:
@@ -195,7 +191,8 @@ def coulomb_trap_length(species: IonSpecies, omega_z: float) -> float:
 
 def spheroid_dimensions(n_ions: float, alpha: float, beta: float,
                         omega_z: float, species: IonSpecies) -> SpheroidGeometry:
-    """Equatorial radius, half-height and density of the uniform spheroid."""
+    """Equatorial radius, half-height and density of the uniform spheroid;
+    one that leaves the float range raises a ValueError naming the inputs."""
     if not 0.0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     if not 1 <= n_ions < math.inf:
@@ -203,10 +200,16 @@ def spheroid_dimensions(n_ions: float, alpha: float, beta: float,
     # no upper bound: relax sizes its start from beta >= 1 too
     if not -0.5 < beta < math.inf:
         raise ValueError("beta must be finite and above -1/2")
-    a0 = coulomb_trap_length(species, omega_z)
-    r_cl = a0 * (3.0 / (2.0 * beta + 1.0) * n_ions / alpha) ** (1.0 / 3.0)
-    z_cl = alpha * r_cl
-    density = n_ions / (4.0 / 3.0 * math.pi * z_cl * r_cl ** 2)
+    try:
+        a0 = coulomb_trap_length(species, omega_z)
+        r_cl = a0 * (3.0 / (2.0 * beta + 1.0) * n_ions / alpha) ** (1.0 / 3.0)
+        z_cl = alpha * r_cl
+        density = n_ions / (4.0 / 3.0 * math.pi * z_cl * r_cl ** 2)
+    except (OverflowError, ZeroDivisionError):  # a step left the float range
+        density = math.nan
+    if not 0.0 < density < math.inf:  # in range, it puts r_cl and z_cl in range
+        raise ValueError(f"spheroid out of float range: n_ions={n_ions}, alpha={alpha}, "
+                         f"beta={beta}, omega_z={omega_z} rad/s")
     return SpheroidGeometry(r_cl=r_cl, z_cl=z_cl, density_n=density)
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,26 @@ def test_trap_overflow_names_its_inputs(argv, names, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert all(name in err for name in (*names, "b_field=", "trap_voltage=",
                                         "char_length_z0="))
+
+
+@pytest.mark.parametrize("argv, names", [
+    # z0^2 underflows to 0 in the first trap of the fig 3 sweep
+    (["--set", "char_length_m=1e-300", "fig", "3"],
+     ("b_field=1.0 T", "trap_voltage=2.5 V", "char_length_z0=1e-300")),
+    # the spheroid's z_cl * r_cl^2 overflows to inf, so its density is 0
+    (["--set", "char_length_m=1e30", "--set", f"n_crystal={10 ** 300}", "fig", "6"],
+     (f"n_ions={10 ** 300},", "alpha=", "beta=", "omega_z=")),
+], ids=["fig3_z0_underflow", "fig6_density_underflow"])
+def test_figure_overflow_names_its_inputs_without_a_warning(argv, names, tmp_path, capsys):
+    # the figure grids are Python floats: an out-of-range step raises, and
+    # numpy prints no RuntimeWarning before the error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(["--output-dir", str(tmp_path), *argv], capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(name in err for name in names)
+    assert [str(w.message) for w in caught] == []
 
 
 # every RunConfig field at extreme finite values; an int field takes the

@@ -238,7 +238,7 @@ def test_record_signature_is_the_fields():
     # annotations are strings in the package (from __future__ import
     # annotations) and objects here
     assert str(inspect.signature(IntegratorConfig)) == (
-        "(time_step: 'float', total_time: 'float', sample_stride: 'int' = 1) -> None")
+        "(time_step: 'Positive', total_time: 'float', sample_stride: 'int' = 1) -> None")
     assert str(inspect.signature(Point)) == "(x: float, y: float = 2.0) -> None"
     assert IntegratorConfig.field_names == ("time_step", "total_time", "sample_stride")
     assert IntegratorConfig(1e-9, 1e-6).field_values() == (1e-9, 1e-6, 1)
@@ -270,6 +270,7 @@ class Reading(Record):
     value: "float"
     gap: "float | None" = None
     count: "int" = 0
+    size: "Positive" = 1.0
     limit: "ClassVar[float]" = math.inf
 
 
@@ -281,7 +282,17 @@ def test_record_float_fields_are_finite_by_type(bad):
     # None is an optional float's gap; an int field and a ClassVar go unchecked
     assert Reading(1.0, None).gap is None
     assert Reading(1.0, 2.0, bad).count is bad
-    assert Reading.field_names == ("value", "gap", "count") and Reading(1.0).limit == math.inf
+    assert Reading.field_names == ("value", "gap", "count", "size")
+    assert Reading(1.0).limit == math.inf
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf],
+                         ids=["zero", "minus_zero", "negative", "nan", "inf", "minus_inf"])
+def test_record_positive_fields_are_positive_and_finite_by_type(bad):
+    with pytest.raises(ValueError, match=r"^size must be positive and finite$"):
+        Reading(1.0, size=bad)
+    # the least positive float is positive
+    assert Reading(1.0, size=5e-324).size == 5e-324
 
 
 def test_trap_validation():

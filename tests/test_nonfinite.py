@@ -82,8 +82,8 @@ SOURCES = sorted(p.stem for p in Path(penning_gyro.__file__).parent.glob("*.py")
 
 def _is_float(annotation) -> bool:
     # annotations are strings (from __future__ import annotations); a
-    # float | None field is a float with a gap marker
-    return "float" in str(annotation).split(" | ")
+    # float | None field is a float with a gap marker, and Positive is a float
+    return not {"float", "Positive"}.isdisjoint(str(annotation).split(" | "))
 
 
 def _targets() -> dict:

@@ -1,4 +1,5 @@
 import math
+import re
 import random
 
 import pytest
@@ -278,6 +279,23 @@ def test_spheroid_validation(modes100):
     for r_cl in (1e-5, 1e-6):  # a sphere and a prolate spheroid
         with pytest.raises(ValueError, match="r_cl > z_cl"):
             SpheroidGeometry(r_cl=r_cl, z_cl=1e-5, density_n=1e12)
+
+
+@pytest.mark.parametrize("n_ions, alpha, beta, omega_z", [
+    (10 ** 400, 0.16, 0.05, 1.55e6),  # an int past the float range
+    (1e300, 0.16, 0.05, 1e-30),       # z_cl * r_cl^2 overflows to inf: the density is 0
+    (1e300, 0.16, 0.05, 1e-100),      # r_cl^2 raises OverflowError
+    (1000, 0.16, 0.05, 1e200),        # omega_z^2 raises OverflowError
+    (1000, 1e-320, 0.05, 1.55e6),     # n_ions / alpha overflows, and r_cl with it
+    (1000, 0.16, 1e300, 1.55e6),      # z_cl * r_cl^2 is subnormal: the density is inf
+    (1000, 0.16, 1e300, 1e100),       # r_cl^2 underflows to 0, and the density divides by it
+], ids=["huge_int", "density_zero", "r_cl_squared", "omega_z_squared", "alpha_tiny",
+        "density_inf", "zero_division"])
+def test_spheroid_out_of_float_range_names_its_inputs(n_ions, alpha, beta, omega_z):
+    message = (f"spheroid out of float range: n_ions={n_ions}, alpha={alpha}, beta={beta}, "
+               f"omega_z={omega_z} rad/s")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        spheroid_dimensions(n_ions, alpha, beta, omega_z, CA40)
 
 
 def test_planarity_check_margins():

@@ -188,7 +188,58 @@ def test_record_annotations_are_strings():
              for note in cls.__annotations__.values()]
     assert len(notes) > 80  # the walk found the records
     assert [note for note in notes if not isinstance(note, str)] == []
-    assert notes.count("float") > 50 and notes.count("float | None") > 0
+    assert notes.count("float") + notes.count("Positive") > 50
+    assert notes.count("float | None") > 0 and notes.count("Positive") > 0
+
+
+def _is_math(node: ast.AST, attr: str) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.value, ast.Name) and node.value.id == "math")
+
+
+def _rechecked_finiteness(tree: ast.Module) -> list[str]:
+    """``Class.field`` for each field annotated ``float`` or ``Positive``
+    that a record's ``__post_init__`` compares with ``math.inf`` or passes
+    to ``math.isfinite``: the generated ``__init__`` has checked it already."""
+    found = []
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and _is_record(cls)):
+            continue
+        floats = set()
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign):
+                names = {n.id for n in ast.walk(node.annotation) if isinstance(n, ast.Name)}
+                if names & {"float", "Positive"} and "ClassVar" not in names:
+                    floats.add(node.target.id)
+        for func in cls.body:
+            if not (isinstance(func, ast.FunctionDef) and func.name == "__post_init__"):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Compare) and any(
+                        _is_math(op, "inf") for op in (node.left, *node.comparators)):
+                    operands = (node.left, *node.comparators)
+                elif isinstance(node, ast.Call) and _is_math(node.func, "isfinite"):
+                    operands = node.args
+                else:
+                    continue
+                found += [f"{cls.name}.{op.attr}" for op in operands
+                          if isinstance(op, ast.Attribute) and op.attr in floats
+                          and isinstance(op.value, ast.Name) and op.value.id == "self"]
+    return found
+
+
+def test_no_post_init_rechecks_a_typed_float():
+    # Record's generated __init__ holds a float field finite and a Positive
+    # one to 0 < x < inf; a second check in __post_init__ is a second law
+    found = {path.name: _rechecked_finiteness(ast.parse(path.read_text())) for path in SOURCES}
+    assert {name: fields for name, fields in found.items() if fields} == {}
+    # the rule reads the annotations: an int may be held below math.inf
+    assert _rechecked_finiteness(ast.parse(
+        "class A(Record):\n    x: float\n    y: Positive\n    z: float | None\n    n: int\n"
+        "    def __post_init__(self):\n"
+        "        if not (0.0 < self.y < math.inf and math.isfinite(self.x)\n"
+        "                and math.inf > self.z and 1 <= self.n < math.inf): pass\n"
+    )) == ["A.y", "A.x", "A.z"]
 
 
 CALLER_DIRS = ("src", "scripts", "perfbench")
