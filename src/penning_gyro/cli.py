@@ -45,17 +45,22 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="machine-readable output on stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("constants", help="print the pinned physical constants")
+    p = sub.add_parser("constants", help="print the pinned physical constants")
+    p.set_defaults(run=_cmd_constants)
 
     p = sub.add_parser("modes", help="trap mode frequency table")
     p.add_argument("--csv", action="store_true", help="also write modes.csv")
+    p.set_defaults(run=_cmd_modes)
 
     p = sub.add_parser("fig", help="write one study dataset (ids 1..6)")
     p.add_argument("figure_id", type=int)
+    p.set_defaults(run=_cmd_fig)
 
-    sub.add_parser("budget", help="full sensitivity budget (budget.json)")
+    p = sub.add_parser("budget", help="full sensitivity budget (budget.json)")
+    p.set_defaults(run=_cmd_budget)
 
-    sub.add_parser("crystal", help="relax the ion crystal and report its shape")
+    p = sub.add_parser("crystal", help="relax the ion crystal and report its shape")
+    p.set_defaults(run=_cmd_crystal)
     return parser
 
 
@@ -178,8 +183,7 @@ def _cmd_crystal(args, config: RunConfig) -> int:
         crystal, report = relax(config.n_crystal, species, modes, wall, relax_cfg)
     except ConvergenceError as exc:
         _write_crystal(outdir, exc.best_config, exc.report.as_dict())
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise
     stats = measured_shape(crystal)
     text = _write_crystal(outdir, crystal, {**report.as_dict(), **stats.as_dict()})
     if args.json:
@@ -192,21 +196,12 @@ def _cmd_crystal(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "constants": _cmd_constants,
-    "modes": _cmd_modes,
-    "fig": _cmd_fig,
-    "budget": _cmd_budget,
-    "crystal": _cmd_crystal,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, args.overrides)
-        return _HANDLERS[args.command](args, config)
+        return args.run(args, config)
     except (NumericalError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -25,6 +25,7 @@ from .core import (
     RotationInput,
     TrapConfig,
     axial_frequency_squared,
+    cyclotron_frequency,
     write_csv,
 )
 from .modes import ModeFrequencies, compute_modes
@@ -84,7 +85,7 @@ def _generator(species: IonSpecies, trap: TrapConfig, rot: RotationInput) -> np.
     """
     wz2 = axial_frequency_squared(species, trap)
     # signed Lorentz coefficient: q/m * B, sign of the charge kept
-    wc = species.charge * trap.b_field / species.mass
+    wc = math.copysign(cyclotron_frequency(species, trap), species.charge)
     cor = 2.0 * rot.omega_x
     gen = np.zeros((6, 6))
     gen[:3, 3:] = np.eye(3)

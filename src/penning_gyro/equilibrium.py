@@ -90,17 +90,14 @@ class ConvergenceReport(Record):
         }
 
 
-def _scales(species: IonSpecies, modes: ModeFrequencies):
+def _trap_units(species: IonSpecies, modes: ModeFrequencies, wall: RotatingWallConfig):
+    """a0, the energy and force scales, and the curvatures kx, ky, beta."""
+    beta = shape_beta(modes, wall.omega_r)  # the wall's gate comes first
     a0 = coulomb_trap_length(species, modes.omega_z)
     energy_scale = species.mass * modes.omega_z ** 2 * a0 ** 2
     force_scale = species.mass * modes.omega_z ** 2 * a0
-    return a0, energy_scale, force_scale
-
-
-def _curvatures(modes: ModeFrequencies, wall: RotatingWallConfig):
-    beta = shape_beta(modes, wall.omega_r)
     # wall squeezes x and releases y for a positive delta
-    return beta + wall.delta, beta - wall.delta, beta
+    return a0, energy_scale, force_scale, beta + wall.delta, beta - wall.delta, beta
 
 
 def _energy_gradient_kernel(n: int):
@@ -138,25 +135,25 @@ def _energy_gradient_kernel(n: int):
     return energy_gradient
 
 
+def _evaluate(config: IonConfiguration, species: IonSpecies,
+              modes: ModeFrequencies, wall: RotatingWallConfig):
+    """The potential energy in J and the forces, (N, 3) newtons."""
+    a0, e_scale, f_scale, kx, ky, _ = _trap_units(species, modes, wall)
+    value, grad = _energy_gradient_kernel(config.ion_count)(config.positions / a0, kx, ky)
+    return value * e_scale, -grad * f_scale
+
+
 def rotating_frame_potential(config: IonConfiguration, species: IonSpecies,
                              modes: ModeFrequencies,
                              wall: RotatingWallConfig) -> float:
     """Total time-independent potential energy, J."""
-    a0, e_scale, _ = _scales(species, modes)
-    kx, ky, _ = _curvatures(modes, wall)
-    energy_gradient = _energy_gradient_kernel(config.ion_count)
-    value, _ = energy_gradient(config.positions / a0, kx, ky)
-    return value * e_scale
+    return _evaluate(config, species, modes, wall)[0]
 
 
 def forces(config: IonConfiguration, species: IonSpecies,
            modes: ModeFrequencies, wall: RotatingWallConfig) -> np.ndarray:
     """Analytic negative gradient of the potential, (N, 3) newtons."""
-    a0, _, f_scale = _scales(species, modes)
-    kx, ky, _ = _curvatures(modes, wall)
-    energy_gradient = _energy_gradient_kernel(config.ion_count)
-    _, grad = energy_gradient(config.positions / a0, kx, ky)
-    return -grad * f_scale
+    return _evaluate(config, species, modes, wall)[1]
 
 
 def _hex_patch(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -195,10 +192,9 @@ def relax(n_ions: int, species: IonSpecies, modes: ModeFrequencies,
 
     if n_ions < 1:
         raise ValueError("need at least one ion")
-    kx, ky, beta = _curvatures(modes, wall)
+    a0, e_scale, f_scale, kx, ky, beta = _trap_units(species, modes, wall)
     if beta <= wall.delta:
         raise ValueError("wall dominance requires beta > delta")
-    a0, e_scale, f_scale = _scales(species, modes)
     tol = cfg.force_tolerance / f_scale
 
     if n_ions == 1:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -190,6 +191,38 @@ def test_budget_text(tmp_path, capsys):
     assert (tmp_path / "budget.json").exists()
 
 
+def _rotation_asd(tmp_path, capsys, *overrides):
+    argv = [arg for pair in overrides for arg in ("--set", pair)]
+    code, out, _ = run(["--output-dir", str(tmp_path), "--json", *argv, "budget"], capsys)
+    assert code == EXIT_OK
+    return json.loads(out)["rotation_asd_rad_s_per_sqrt_hz"]
+
+
+BUDGET_SCALING_LAWS = [
+    # the power laws of the chain, exact to the bit at the defaults
+    ("q_factor=2e6", 0.5, 0.0),
+    ("n_spins=40000", 0.5, 0.0),
+    ("n_crystal=8000", 0.5, 0.0),          # r_cl grows as N^(1/3) at fixed beta
+    ("odf_force_n=2e-22", 0.5, 0.0),
+    ("cycle_s=0.2", 2.0, 0.0),
+    # at Gamma tau = 1 the resolution exp(Gamma tau)/tau is stationary in tau:
+    # tau (1 + h) moves the ASD by exp(h)/(1 + h) - 1 = h^2/2 - h^3/3 + ...
+    *((f"precession_s={0.01 * (1.0 + h)!r}", 1.0 + h * h / 2.0, abs(h) ** 3 / 2.0)
+      for h in (1e-3, -1e-3, 1e-2, -1e-2)),
+    # the wall lock: the gain falls by sqrt(2) at |omega_r/omega_z - 1| = 1/(2Q),
+    # 0.78 rad/s at Q = 1e6, a detuning the wall_ratio = 1 default never has
+    (f"wall_ratio={1.0 + 0.5e-6!r}", math.sqrt(2.0), 1e-5),
+    (f"wall_ratio={1.0 - 0.5e-6!r}", math.sqrt(2.0), 1e-5),
+]
+
+
+@pytest.mark.parametrize("setting, ratio, tol", BUDGET_SCALING_LAWS,
+                         ids=[law[0] for law in BUDGET_SCALING_LAWS])
+def test_budget_scaling_laws(setting, ratio, tol, tmp_path, capsys):
+    base = _rotation_asd(tmp_path, capsys)
+    assert _rotation_asd(tmp_path, capsys, setting) / base == pytest.approx(ratio, rel=0, abs=tol)
+
+
 @pytest.mark.parametrize("overrides, names", [
     # exp(Gamma tau) = exp(1e5) overflows a float
     (["decay_rate_hz=1e5", "precession_s=1"], ("gamma=100000", "tau=1 s")),
@@ -197,7 +230,9 @@ def test_budget_text(tmp_path, capsys):
     (["odf_force_n=1e-60", "precession_s=7"], ("f0=1e-60", "tau=7 s")),
     # a finite Q whose resonant gain 2Q/omega_z overflows the scale factor
     (["q_factor=1e308"], ("quality_factor=1e+308", "r_cl=0.000387157 m")),
-], ids=["exp_overflow", "resolution_overflow", "gain_overflow"])
+    # not an overflow: a negative decay rate is refused by name
+    (["decay_rate_hz=-1"], ("gamma",)),
+], ids=["exp_overflow", "resolution_overflow", "gain_overflow", "negative_gamma"])
 def test_budget_overflow_names_its_inputs(overrides, names, tmp_path, capsys):
     argv = [arg for pair in overrides for arg in ("--set", pair)]
     code, _, err = run(["--output-dir", str(tmp_path), *argv, "budget"], capsys)
@@ -318,6 +353,37 @@ def test_failed_json_write_keeps_the_old_file(argv, name, tmp_path, capsys, monk
     assert err.startswith("error: cannot replace")
     assert (tmp_path / name).read_bytes() == old
     assert list(tmp_path.glob("*.part")) == []
+
+
+# sha256 of each file that figs 1-6, budget and a 200-ion crystal (seed 0) write
+OUTPUT_DIGESTS = {
+    "fig1_trajectory.csv": "276da18c168e4552b93c0067656909f860d341159bb65cc8e20d623f7ba818ec",
+    "fig2_axial.csv": "95af3bad4c8eb8b0b2e1bcd810fdc598ef987a306a013840dedbfc765d0fe9fa",
+    "fig2_spectrum.csv": "66641df8e3889cedc43dd5a63f46d7c1c10b7a7b1fec4920984654293a2da238",
+    "fig3_freq_difference.csv": "43792ccfbd100ba614c1daff8f46540227b230a63bf6bfc58555ab1d81979f72",
+    "fig4_shape_collapse.csv": "0b5873757e4219e7c26d9a8e0f5e84eaa81c1bc89d9caaf92ce5f1286c9bf1d8",
+    "fig5_shape_vs_wall.csv": "ae6af036bc1ded8ebbdabee81cfba6608d2bb7ad6e0722862888b6b543be46f5",
+    "fig6_cloud_dimensions.csv": "7e0a9dc66b1d5a61239f44350f872a05f9d9299e1d403883b9782edb38041eb5",
+    "budget.json": "705151c4e5106a959fdfb2afd7bb65ca673f5aeed2152e81f40ac9f2e58b4d18",
+    "crystal.csv": "b31b6a13fe3e6a81f1657a663ed46a87a7234b13fd0ffc56ea4c24d78ff2c8ea",
+    "crystal_report.json": "01693523569c473f1c30e4c09f32ce72f99542444a6276e99da9f69ac7fd0f27",
+}
+
+
+def test_outputs_keep_their_pinned_digests(tmp_path, capsys):
+    """Every output keeps its bits: a change meant to keep the numbers cannot move them.
+
+    The digests hold on x86-64 glibc 2.36 libm, numpy 2.4.6 (scipy-openblas
+    0.3.31) and one BLAS thread, which conftest.py sets.  A change that moves
+    the numbers on purpose re-pins them and says why.
+    """
+    argvs = [*(["fig", str(k)] for k in range(1, 7)), ["budget"],
+             ["--set", "n_crystal=200", "crystal"]]
+    for argv in argvs:
+        assert run(["--output-dir", str(tmp_path), *argv], capsys)[0] == EXIT_OK
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert digests == OUTPUT_DIGESTS
 
 
 def test_crystal_json(tmp_path, capsys):

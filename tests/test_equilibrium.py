@@ -234,6 +234,26 @@ def test_relax_stops_at_half_the_tolerance_on_the_rechecked_force(seed, ca40, mo
     assert rechecked == pytest.approx(report.max_force, rel=1e-9, abs=0)
 
 
+def test_relax_work_stays_within_its_counts(ca40, modes100, wall100, monkeypatch):
+    # counts, unlike wall time, do not drift with load or BLAS threads; the
+    # bounds are the counts when they were set and may only get tighter
+    evaluations = 0
+
+    def counted_kernel(n):
+        energy_gradient = _energy_gradient_kernel(n)
+
+        def counted(*args):
+            nonlocal evaluations
+            evaluations += 1
+            return energy_gradient(*args)
+        return counted
+
+    monkeypatch.setattr("penning_gyro.equilibrium._energy_gradient_kernel", counted_kernel)
+    iterations = sum(relax(200, ca40, modes100, wall100, RelaxationConfig(initial_seed=seed))
+                     [1].iterations for seed in range(8))
+    assert iterations <= 1617 and evaluations <= 1647
+
+
 def test_relax_deterministic_for_fixed_seed(ca40, modes100, wall100):
     cfg = RelaxationConfig(initial_seed=5)
     c1, _ = relax(20, ca40, modes100, wall100, cfg)

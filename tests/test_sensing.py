@@ -20,6 +20,8 @@ def test_params_validation():
         ODFParams(f0=0.0, tau=0.01, gamma=1.0)
     with pytest.raises(ValueError):
         ODFParams(f0=1e-22, tau=-0.01, gamma=1.0)
+    with pytest.raises(ValueError, match="^gamma must be non-negative$"):
+        ODFParams(f0=1e-22, tau=0.01, gamma=-1.0)
     with pytest.raises(ValueError):
         EnsembleSpec(0)
 

@@ -233,6 +233,21 @@ def test_exact_zero_on_the_grid_is_returned(monkeypatch, index):
     assert aspect_ratio_from_beta(0.5) == zero
 
 
+def test_shape_solve_stays_within_its_residual_count(monkeypatch):
+    # a bound that may only get tighter: the count over this grid when it was set
+    evaluations = 0
+
+    def counted(alpha, beta):
+        nonlocal evaluations
+        evaluations += 1
+        return _cold_fluid_residual(alpha, beta)
+
+    monkeypatch.setattr(shape, "_cold_fluid_residual", counted)
+    for i in range(200):
+        aspect_ratio_from_beta(0.005 + i * 0.985 / 199)
+    assert evaluations <= 2888
+
+
 def test_brent_iteration_cap_raises_a_numerical_error(monkeypatch):
     monkeypatch.setattr(shape, "_MAXITER", 2)
     with pytest.raises(NumericalError, match="did not converge"):
