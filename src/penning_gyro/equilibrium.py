@@ -54,6 +54,8 @@ class IonConfiguration(Record):
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError("positions must be an (N, 3) array")
+        if pos.shape[0] == 0:  # an empty crystal has no shape to measure
+            raise ValueError("positions must hold at least one ion")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
         if pos.shape[0] > 1 and np.min(_nearest_neighbor_distances(pos)) <= 0.0:

@@ -86,7 +86,20 @@ def axial_depolarization(alpha: float) -> float:
 
 
 # the 1001 trial aspect ratios: 1e-3 steps from 1e-6, then 1 - 1e-6
-_ALPHA_GRID = tuple([1e-6 + i * 1e-3 for i in range(1000)] + [1.0 - 1e-6])
+_ALPHA_STEP = 1e-3
+_ALPHA_GRID = tuple([1e-6 + i * _ALPHA_STEP for i in range(1000)] + [1.0 - 1e-6])
+
+
+def _alpha_guess(beta: float) -> float:
+    """First guess at the root, within 7e-4 of it for beta in (1e-5, 1).
+
+    4 beta/pi is the small-beta limit (A_z ~ 1 - pi alpha/2 for small
+    alpha); the two constants make the curve pass through the roots
+    alpha(0.3) = 0.3473 and alpha(1) = 1.  The solve only starts its search
+    here, so the root it returns does not depend on this guess.
+    """
+    return beta * (4.0 / math.pi + 0.4281 * beta) / (1.0 + 0.7013 * beta)
+
 
 # Brent's tolerances and iteration cap
 _XTOL = 1e-15
@@ -143,9 +156,11 @@ def aspect_ratio_from_beta(beta: float) -> float:
     """Aspect ratio alpha = z_cl/r_cl on the oblate branch: the root of
     ``_cold_fluid_residual``.
 
-    The residual rises strictly on the grid, so bisection finds the first
-    grid point where it is >= 0; ``_brentq`` refines the cell that ends
-    there unless the residual is exactly zero at that point.
+    The residual rises strictly on the grid, so it has one first grid point
+    where it is >= 0.  The search starts at the grid cell of
+    ``_alpha_guess``, steps away from it by doubling strides until that
+    point is enclosed, and bisects what is left; ``_brentq`` refines the
+    cell that ends there unless the residual is exactly zero at that point.
     """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"oblate branch requires 0 < beta < 1 (beta={beta:.6g})")
@@ -155,6 +170,17 @@ def aspect_ratio_from_beta(beta: float) -> float:
 
     lo, hi = -1, len(_ALPHA_GRID)  # residual < 0 up to lo, >= 0 from hi
     f_lo = f_hi = math.nan  # until a grid point is evaluated
+    start = int((_alpha_guess(beta) - _ALPHA_GRID[0]) / _ALPHA_STEP)
+    probe, stride = min(max(start, 0), hi - 1), 1
+    while lo < probe < hi:  # the first probe past the sign change turns back out of (lo, hi)
+        value = residual(_ALPHA_GRID[probe])
+        if value < 0.0:
+            lo, f_lo = probe, value
+            probe = lo + stride
+        else:
+            hi, f_hi = probe, value
+            probe = hi - stride
+        stride *= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
         value = residual(_ALPHA_GRID[mid])

@@ -37,6 +37,8 @@ def test_configuration_validation():
         IonConfiguration(np.array([[0.0, 0.0, np.nan]]))
     with pytest.raises(ValueError):
         IonConfiguration(np.zeros((2, 3)))  # coincident
+    with pytest.raises(ValueError, match="^positions must hold at least one ion$"):
+        IonConfiguration(np.zeros((0, 3)))
 
 
 def test_single_ion_sits_at_origin(ca40, modes100, wall100):

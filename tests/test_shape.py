@@ -245,7 +245,51 @@ def test_shape_solve_stays_within_its_residual_count(monkeypatch):
     monkeypatch.setattr(shape, "_cold_fluid_residual", counted)
     for i in range(200):
         aspect_ratio_from_beta(0.005 + i * 0.985 / 199)
-    assert evaluations <= 2888
+    assert evaluations <= 1406
+
+
+def test_bracket_search_from_the_guess_stays_short(monkeypatch):
+    # from the guessed cell, the sign change is enclosed in at most 4
+    # residual evaluations before Brent starts
+    evaluations = 0
+    before_brent = []
+
+    def counted(alpha, beta):
+        nonlocal evaluations
+        evaluations += 1
+        return _cold_fluid_residual(alpha, beta)
+
+    def brentq_entered(*args):
+        before_brent.append(evaluations)
+        return brentq_port(*args)
+
+    brentq_port = shape._brentq
+    monkeypatch.setattr(shape, "_cold_fluid_residual", counted)
+    monkeypatch.setattr(shape, "_brentq", brentq_entered)
+    for i in range(20000):
+        evaluations = 0
+        aspect_ratio_from_beta(1e-5 + (i + 0.5) * (1.0 - 1e-5) / 20000)
+    assert len(before_brent) == 20000
+    assert max(before_brent) <= 4
+
+
+@pytest.mark.parametrize("guess", [1e-6, 0.5, 1.0 - 1e-6])
+def test_solve_does_not_depend_on_its_guess(monkeypatch, guess):
+    # the bits come from the search, never from where it starts
+    rng = random.Random(20240614)
+    betas = ([10.0 ** rng.uniform(-9.0, 0.0) for _ in range(1000)]
+             + [rng.uniform(0.0, 1.0) for _ in range(1000)]
+             + [10.0 ** -k for k in range(1, 17)]
+             + [1.0 - 10.0 ** -k for k in range(1, 17)])
+    betas = [beta for beta in betas if 0.0 < beta < 1.0]
+    expected = {beta: _solve_outcome(_walk_then_scipy_brentq, beta) for beta in betas}
+    monkeypatch.setattr(shape, "_alpha_guess", lambda beta: guess)
+    found = {beta: _solve_outcome(aspect_ratio_from_beta, beta) for beta in betas}
+    assert found == expected
+    for index in (0, 1, 67, 999, 1000):
+        zero = shape._ALPHA_GRID[index]
+        monkeypatch.setattr(shape, "_cold_fluid_residual", lambda alpha, beta: alpha - zero)
+        assert aspect_ratio_from_beta(0.5) == zero
 
 
 def test_brent_iteration_cap_raises_a_numerical_error(monkeypatch):
