@@ -80,6 +80,7 @@ class ConvergenceReport(Record):
     final_energy: float       # J
     max_force: float          # N, largest residual component
     iterations: int
+    evaluations: int          # energy+gradient calls (L-BFGS nfev)
     restarts_used: int        # always 0 (relax runs one descent); perfbench reads it
 
     def as_dict(self) -> dict:
@@ -88,6 +89,7 @@ class ConvergenceReport(Record):
             "final_energy_j": self.final_energy,
             "max_force_n": self.max_force,
             "iterations": self.iterations,
+            "evaluations": self.evaluations,
             "restarts_used": self.restarts_used,
         }
 
@@ -201,7 +203,7 @@ def relax(n_ions: int, species: IonSpecies, modes: ModeFrequencies,
 
     if n_ions == 1:
         config = IonConfiguration(np.zeros((1, 3)))
-        report = ConvergenceReport(True, 0.0, 0.0, 0, 0)
+        report = ConvergenceReport(True, 0.0, 0.0, 0, 0, 0)
         return config, report
 
     alpha_guess = aspect_ratio_from_beta(min(beta, 0.999))
@@ -231,6 +233,7 @@ def relax(n_ions: int, species: IonSpecies, modes: ModeFrequencies,
         final_energy=float(res.fun * e_scale),
         max_force=max_force,
         iterations=int(res.nit),
+        evaluations=int(res.nfev),
         restarts_used=0,
     )
     config = IonConfiguration(res.x.reshape(n_ions, 3) * a0)

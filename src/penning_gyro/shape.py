@@ -157,9 +157,9 @@ def aspect_ratio_from_beta(beta: float) -> float:
     ``_cold_fluid_residual``.
 
     The residual rises strictly on the grid, so it has one first grid point
-    where it is >= 0.  The search starts at the grid cell of
-    ``_alpha_guess``, steps away from it by doubling strides until that
-    point is enclosed, and bisects what is left; ``_brentq`` refines the
+    where it is >= 0.  The search walks to it one grid point at a time from
+    the grid point of ``_alpha_guess``, which lies within one cell of the
+    root, so it makes 2 or 3 residual evaluations; ``_brentq`` refines the
     cell that ends there unless the residual is exactly zero at that point.
     """
     if not (0.0 < beta < 1.0):
@@ -170,24 +170,13 @@ def aspect_ratio_from_beta(beta: float) -> float:
 
     lo, hi = -1, len(_ALPHA_GRID)  # residual < 0 up to lo, >= 0 from hi
     f_lo = f_hi = math.nan  # until a grid point is evaluated
-    start = int((_alpha_guess(beta) - _ALPHA_GRID[0]) / _ALPHA_STEP)
-    probe, stride = min(max(start, 0), hi - 1), 1
-    while lo < probe < hi:  # the first probe past the sign change turns back out of (lo, hi)
+    probe = min(max(int((_alpha_guess(beta) - _ALPHA_GRID[0]) / _ALPHA_STEP), 0), hi - 1)
+    while lo < probe < hi:  # one grid point at a time toward the sign change
         value = residual(_ALPHA_GRID[probe])
         if value < 0.0:
-            lo, f_lo = probe, value
-            probe = lo + stride
+            lo, f_lo, probe = probe, value, probe + 1
         else:
-            hi, f_hi = probe, value
-            probe = hi - stride
-        stride *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        value = residual(_ALPHA_GRID[mid])
-        if value < 0.0:
-            lo, f_lo = mid, value
-        else:
-            hi, f_hi = mid, value
+            hi, f_hi, probe = probe, value, probe - 1
     if f_hi == 0.0:
         return _ALPHA_GRID[hi]
     if lo < 0 or hi == len(_ALPHA_GRID):
@@ -209,10 +198,15 @@ def coulomb_trap_length(species: IonSpecies, omega_z: float) -> float:
     The m in the denominator is required for a0 to be a length; the
     mass-less variant sometimes quoted is dimensionally inconsistent.
     """
-    if not 0.0 < omega_z < math.inf:
-        raise ValueError("omega_z must be positive and finite")
     k = species.charge ** 2 * K_COULOMB
-    return (k / (species.mass * omega_z ** 2)) ** (1.0 / 3.0)
+    try:
+        a0 = (k / (species.mass * omega_z ** 2)) ** (1.0 / 3.0)
+    except (OverflowError, ZeroDivisionError):  # m omega_z^2 left the float range
+        a0 = math.nan
+    if not (omega_z > 0.0 and 0.0 < a0 < math.inf):  # an infinite omega_z gives a0 = 0
+        raise ValueError(f"omega_z must be positive and put a0 in the float range "
+                         f"(omega_z={omega_z} rad/s)")
+    return a0
 
 
 def spheroid_dimensions(n_ions: float, alpha: float, beta: float,
@@ -226,12 +220,14 @@ def spheroid_dimensions(n_ions: float, alpha: float, beta: float,
     # no upper bound: relax sizes its start from beta >= 1 too
     if not -0.5 < beta < math.inf:
         raise ValueError("beta must be finite and above -1/2")
+    if not 0.0 < omega_z < math.inf:
+        raise ValueError("omega_z must be positive and finite")
     try:
         a0 = coulomb_trap_length(species, omega_z)
         r_cl = a0 * (3.0 / (2.0 * beta + 1.0) * n_ions / alpha) ** (1.0 / 3.0)
         z_cl = alpha * r_cl
         density = n_ions / (4.0 / 3.0 * math.pi * z_cl * r_cl ** 2)
-    except (OverflowError, ZeroDivisionError):  # a step left the float range
+    except (OverflowError, ZeroDivisionError, ValueError):  # a step left the float range
         density = math.nan
     if not 0.0 < density < math.inf:  # in range, it puts r_cl and z_cl in range
         raise ValueError(f"spheroid out of float range: n_ions={n_ions}, alpha={alpha}, "

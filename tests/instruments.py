@@ -3,6 +3,7 @@
 They stay out of ``penning_gyro`` because no program path runs them: the
 lock-in reads the response of an integrated run, the voltage edge is a
 closed form that checks ``compute_modes``' stability decision from outside,
+the arctan form of the shape relation does the same for the shape solve,
 and the Ramsey population model is the reference that the budget's
 single-shot resolution (``build_budget``'s ``delta_zc_single_shot``) is
 checked against.  It computes its precession angle itself, so it shares no
@@ -13,6 +14,7 @@ import math
 import numpy as np
 # scipy's trapezoid, not np.trapezoid: the latter needs numpy >= 2
 from scipy.integrate import trapezoid
+from scipy.optimize import brentq
 
 from penning_gyro.core import CONST
 from penning_gyro.dynamics import Trajectory
@@ -49,6 +51,20 @@ def max_stable_voltage(species, b_field: float, z0: float) -> float:
     m z0^2 omega_c^2 / (2q)."""
     omega_c = abs(species.charge) * b_field / species.mass
     return species.mass * z0 ** 2 * omega_c ** 2 / (2.0 * abs(species.charge))
+
+
+def closed_form_alpha(beta: float) -> float:
+    """Oblate cold-fluid aspect ratio solving A_z(alpha) = 1/(2 beta + 1).
+
+    Uses the arctan form of the axial depolarization of an oblate spheroid,
+    A_z = (1 + e^2)/e^3 (e - arctan e) with e = sqrt(1/alpha^2 - 1), so it
+    shares no code with the package's shape solvers.
+    """
+    def residual(alpha):
+        e = math.sqrt(1.0 / alpha ** 2 - 1.0)
+        return ((1.0 + e * e) / e ** 3 * (e - math.atan(e))
+                - 1.0 / (2.0 * beta + 1.0))
+    return brentq(residual, 1e-9, 1.0 - 1e-9, xtol=1e-15, rtol=8.9e-16)
 
 
 def ramsey_population(theta: float, gamma: float, tau: float) -> float:

@@ -47,7 +47,7 @@ from penning_gyro.shape import (
     spheroid_dimensions,
 )
 
-from instruments import driven_amplitude, max_stable_voltage
+from instruments import closed_form_alpha, driven_amplitude, max_stable_voltage
 
 TRAP10 = TrapConfig(1.0, 10.0, 0.01)
 TRAP100 = TrapConfig(1.0, 100.0, 0.01)
@@ -61,20 +61,6 @@ def _report(number: int, name: str, ok: bool, detail: str) -> None:
 
 def _within(value, target, rel):
     return abs(value - target) <= rel * abs(target)
-
-
-def _closed_form_alpha(beta):
-    """Oblate cold-fluid aspect ratio solving A_z(alpha) = 1/(2 beta + 1).
-
-    Uses the arctan form of the axial depolarization of an oblate spheroid,
-    A_z = (1 + e^2)/e^3 (e - arctan e) with e = sqrt(1/alpha^2 - 1), so it
-    shares no code with the package's shape solvers.
-    """
-    def residual(alpha):
-        e = math.sqrt(1.0 / alpha ** 2 - 1.0)
-        return ((1.0 + e * e) / e ** 3 * (e - math.atan(e))
-                - 1.0 / (2.0 * beta + 1.0))
-    return brentq(residual, 1e-9, 1.0 - 1e-9, xtol=1e-15, rtol=8.9e-16)
 
 
 def test_criterion_01_mode_frequencies():
@@ -168,10 +154,10 @@ def test_criterion_05_collapse_and_alpha_maximum():
     # Brillouin limit: omega_r (omega_c - omega_r) <= omega_c^2 / 4 bounds
     # beta, and alpha rises with beta, so the maximum sits at omega_c / 2.
     beta_b = modes100.omega_c ** 2 / (4.0 * modes100.omega_z ** 2) - 0.5
-    alpha_b = _closed_form_alpha(beta_b)
+    alpha_b = closed_form_alpha(beta_b)
     at_brillouin = abs(grid[i_max] - 0.5 * modes100.omega_c) <= grid[1] - grid[0]
     max_ok = abs(alpha_max - alpha_b) <= 1e-4 * alpha_b
-    beta_for_03 = brentq(lambda b: _closed_form_alpha(b) - 0.3, 0.01, 0.99)
+    beta_for_03 = brentq(lambda b: closed_form_alpha(b) - 0.3, 0.01, 0.99)
     _report(5, "shape collapse and alpha maximum",
             collapse_ok and rises_then_falls and at_brillouin and max_ok,
             f"collapse spread {worst:.2e}; alpha rises then falls "
@@ -204,7 +190,7 @@ def test_shape_solver_matches_arctan_closed_form():
     # the package's solver against criterion 5's closed form, which shares
     # no code with penning_gyro.shape
     betas = np.linspace(0.01, 0.99, 99)
-    worst = max(abs(aspect_ratio_from_beta(b) / _closed_form_alpha(b) - 1.0)
+    worst = max(abs(aspect_ratio_from_beta(b) / closed_form_alpha(b) - 1.0)
                 for b in betas)
     assert worst <= 1e-9, f"max relative deviation {worst:.2e}"
 
@@ -223,7 +209,7 @@ def test_nbody_crystal_matches_cold_fluid_shape():
     r_cl = spheroid_dimensions(300, aspect_ratio_from_beta(beta), beta,
                                modes.omega_z, CA40).r_cl
     beta_b = modes.omega_c ** 2 / (4.0 * modes.omega_z ** 2) - 0.5
-    alpha_b = _closed_form_alpha(beta_b)
+    alpha_b = closed_form_alpha(beta_b)
     assert report.converged
     assert abs(radius / r_cl - 1.0) <= 0.01, f"radius / r_cl = {radius / r_cl:.4f}"
     # a finite crystal is flatter than the cold-fluid limit

@@ -19,6 +19,8 @@ from penning_gyro.dynamics import IntegrationError
 from penning_gyro.equilibrium import CoincidentIonsError, ConvergenceError, RelaxationConfig
 from penning_gyro.shape import AspectRatioBracketError
 
+from instruments import closed_form_alpha
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -223,6 +225,32 @@ def test_budget_scaling_laws(setting, ratio, tol, tmp_path, capsys):
     assert _rotation_asd(tmp_path, capsys, setting) / base == pytest.approx(ratio, rel=0, abs=tol)
 
 
+def _log_derivative(f, x, h):
+    """d ln f / d ln x by a central difference of step h in ln x."""
+    return (math.log(f(x * math.exp(h))) - math.log(f(x * math.exp(-h)))) / (2.0 * h)
+
+
+@pytest.mark.parametrize("name, closed_form", [
+    # with the wall locked to omega_z, beta = rho - 3/2 where rho = omega_c/omega_z
+    # goes as B z0 / sqrt(V); the rotation ASD goes as 1/(r_cl * gain), with
+    # r_cl ~ a0 ((2 beta + 1) alpha)^(-1/3), a0 ~ omega_z^(-2/3), the resonant
+    # gain 2Q/omega_z, and omega_z ~ sqrt(V)/z0
+    ("b_field_t", lambda rho, d: rho * d / 3.0),
+    ("trap_voltage_v", lambda rho, d: 5.0 / 6.0 - rho * d / 6.0),
+    ("char_length_m", lambda rho, d: rho * d / 3.0 - 5.0 / 3.0),
+])
+def test_trap_log_derivatives_match_the_closed_form(name, closed_form, tmp_path, capsys):
+    # the budget's stiffest inputs, checked against the arctan form of the
+    # shape relation, which shares no code with the package's shape solve
+    modes = RunConfig().modes()
+    rho = modes.omega_c / modes.omega_z
+    d = _log_derivative(lambda beta: (2.0 * beta + 1.0) * closed_form_alpha(beta),
+                        rho - 1.5, 1e-5) / (rho - 1.5)  # d ln((2 beta + 1) alpha)/d beta
+    measured = _log_derivative(lambda x: _rotation_asd(tmp_path, capsys, f"{name}={x!r}"),
+                               getattr(RunConfig(), name), 1e-5)
+    assert measured == pytest.approx(closed_form(rho, d), rel=1e-6)
+
+
 @pytest.mark.parametrize("overrides, names", [
     # exp(Gamma tau) = exp(1e5) overflows a float
     (["decay_rate_hz=1e5", "precession_s=1"], ("gamma=100000", "tau=1 s")),
@@ -366,7 +394,7 @@ OUTPUT_DIGESTS = {
     "fig6_cloud_dimensions.csv": "7e0a9dc66b1d5a61239f44350f872a05f9d9299e1d403883b9782edb38041eb5",
     "budget.json": "705151c4e5106a959fdfb2afd7bb65ca673f5aeed2152e81f40ac9f2e58b4d18",
     "crystal.csv": "b31b6a13fe3e6a81f1657a663ed46a87a7234b13fd0ffc56ea4c24d78ff2c8ea",
-    "crystal_report.json": "01693523569c473f1c30e4c09f32ce72f99542444a6276e99da9f69ac7fd0f27",
+    "crystal_report.json": "10d2ff60794b0010f4a74359e71c833a9de23b047870dc13ffd2e4a3f92caee5",
 }
 
 

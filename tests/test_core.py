@@ -129,6 +129,9 @@ def test_species_validation():
     (lambda: coulomb_trap_length(CA40, math.nan), "omega_z"),
     (lambda: coulomb_trap_length(CA40, math.inf), "omega_z"),
     (lambda: coulomb_trap_length(CA40, 0.0), "omega_z"),
+    # m omega_z^2 overflows, or underflows to 0: a0 leaves the float range
+    (lambda: coulomb_trap_length(CA40, 1e200), r"omega_z=1e\+200"),
+    (lambda: coulomb_trap_length(CA40, 1e-200), "omega_z=1e-200"),
     (lambda: planarity_check(0.05, -math.inf), "delta"),
     # a non-finite beta would read as a silent planarity failure
     (lambda: planarity_check(math.nan, 0.01), "beta"),
@@ -175,6 +178,7 @@ def test_species_validation():
         "spheroid_beta_nan", "spheroid_beta_minus_half", "spheroid_omega_z_inf",
         "spheroid_omega_z_minus_inf", "spheroid_omega_z_nan", "coulomb_trap_length_omega_z_nan",
         "coulomb_trap_length_omega_z_inf", "coulomb_trap_length_omega_z_zero",
+        "coulomb_trap_length_omega_z_overflow", "coulomb_trap_length_omega_z_underflow",
         "planarity_delta_minus_inf", "planarity_beta_nan", "planarity_beta_inf",
         "planarity_beta_minus_inf", "magnetron_orbit_radius_nan", "magnetron_orbit_radius_inf",
         "magnetron_orbit_radius_minus_inf", "oscillator_quality_factor_nan",

@@ -251,9 +251,11 @@ def test_relax_work_stays_within_its_counts(ca40, modes100, wall100, monkeypatch
         return counted
 
     monkeypatch.setattr("penning_gyro.equilibrium._energy_gradient_kernel", counted_kernel)
-    iterations = sum(relax(200, ca40, modes100, wall100, RelaxationConfig(initial_seed=seed))
-                     [1].iterations for seed in range(8))
+    reports = [relax(200, ca40, modes100, wall100, RelaxationConfig(initial_seed=seed))[1]
+               for seed in range(8)]
+    iterations = sum(report.iterations for report in reports)
     assert iterations <= 1617 and evaluations <= 1647
+    assert sum(report.evaluations for report in reports) == evaluations  # the reports count them
 
 
 def test_relax_deterministic_for_fixed_seed(ca40, modes100, wall100):

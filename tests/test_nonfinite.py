@@ -47,7 +47,7 @@ BASELINES = {
     "dynamics.SpectralPeak": {"frequency": 1e5, "power": 1.0},
     "equilibrium.ConvergenceReport": {"converged": True, "final_energy": 1e-20,
                                       "max_force": 1e-22, "iterations": 10,
-                                      "restarts_used": 0},
+                                      "evaluations": 12, "restarts_used": 0},
     "equilibrium.ShapeStats": {"alpha": 0.05, "r_cl": 4e-4, "spacing_median": 2.6e-5,
                                "spacing_spread": 1e-6, "low_confidence": False},
     "modes.ModeFrequencies": _fields(MODES),

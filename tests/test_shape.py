@@ -245,12 +245,12 @@ def test_shape_solve_stays_within_its_residual_count(monkeypatch):
     monkeypatch.setattr(shape, "_cold_fluid_residual", counted)
     for i in range(200):
         aspect_ratio_from_beta(0.005 + i * 0.985 / 199)
-    assert evaluations <= 1406
+    assert evaluations <= 1350
 
 
 def test_bracket_search_from_the_guess_stays_short(monkeypatch):
-    # from the guessed cell, the sign change is enclosed in at most 4
-    # residual evaluations before Brent starts
+    # from the guessed grid point, the walk encloses the sign change in at
+    # most 3 residual evaluations before Brent starts
     evaluations = 0
     before_brent = []
 
@@ -270,7 +270,7 @@ def test_bracket_search_from_the_guess_stays_short(monkeypatch):
         evaluations = 0
         aspect_ratio_from_beta(1e-5 + (i + 0.5) * (1.0 - 1e-5) / 20000)
     assert len(before_brent) == 20000
-    assert max(before_brent) <= 4
+    assert max(before_brent) <= 3
 
 
 @pytest.mark.parametrize("guess", [1e-6, 0.5, 1.0 - 1e-6])
