@@ -6,9 +6,9 @@ Usage: python scripts/crystal_convergence.py [N1 N2 ...]
 Relaxes the crystal at each requested size (default 20 100 300 1000) at
 the default operating point of ``RunConfig`` (1 T / 100 V, wall at
 omega_z), and prints how the shape that ``measured_shape`` estimates from
-second moments approaches the cold-fluid spheroid, with the L-BFGS
-iteration and energy+gradient evaluation counts and the largest force
-component over the tolerance.
+second moments approaches the cold-fluid spheroid, with the iteration
+and energy+gradient evaluation counts of the in-package L-BFGS descent
+and the largest force component over the tolerance.
 """
 import sys
 import time

@@ -6,8 +6,9 @@ and the N-body ``equilibrium`` use numpy.  Every public name resolves on
 first access (PEP 562), so ``import penning_gyro`` loads no submodule:
 a program loads the modules whose names it uses, and neither numpy nor
 scipy until it uses a numpy layer.  scipy is imported inside the
-functions that call it: only the N-body crystal loads it.  The records
-derive from ``core.Record``, so no module imports ``dataclasses``.
+functions that call it: only the N-body crystal loads it, and only
+``scipy.spatial`` (its L-BFGS is in-package).  The records derive from
+``core.Record``, so no module imports ``dataclasses``.
 """
 
 import importlib

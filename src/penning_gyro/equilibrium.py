@@ -13,6 +13,8 @@ the minimizer well conditioned at any ion count.
 from __future__ import annotations
 
 import math
+import sys
+from collections import deque
 from typing import ClassVar
 
 import numpy as np
@@ -65,9 +67,6 @@ class IonConfiguration(Record):
     @property
     def ion_count(self) -> int:
         return self.positions.shape[0]
-
-
-_MAX_ITERATIONS = 20000
 
 
 class RelaxationConfig(Record):
@@ -183,6 +182,215 @@ def _hex_patch(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+# L-BFGS-B's unbounded path (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput.
+# 16, 1190 (1995)) with the settings relax has always used: 20 (s, y) pairs,
+# a relative reduction floor of 1e-18, and scipy's default cap on evaluations
+_MAX_ITERATIONS = 20000
+_MAX_EVALUATIONS = 15000
+_MEMORY = 20
+_F_REDUCTION = 1e-18
+_EPS = sys.float_info.epsilon
+# the line search's sufficient-decrease, curvature and interval tolerances,
+# its largest step and the evaluations one search may make
+_LS_FTOL, _LS_GTOL, _LS_XTOL = 1e-3, 0.9, 0.1
+_STEP_MAX = 1e10
+_LS_MAX_EVALUATIONS = 20
+
+
+def _cubic_gamma(theta: float, da: float, db: float, negative: bool) -> float:
+    """The square-root term of the cubic through two (value, slope) points."""
+    s = max(abs(theta), abs(da), abs(db))
+    gamma = s * math.sqrt(max(0.0, (theta / s) * (theta / s) - (da / s) * (db / s)))
+    return -gamma if negative else gamma
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stmin, stmax):
+    """The next trial step and the updated interval, as MINPACK-2's dcstep.
+
+    (stx, fx, dx) is the best step so far with its value and slope, (sty,
+    fy, dy) the interval's other end and (stp, fp, dp) the latest trial.
+    Returns (stx, fx, dx, sty, fy, dy, stp, brackt).  A port of the
+    MINPACK-2 routine (Moré & Thuente, ACM TOMS 20, 286 (1994)) by way of
+    scipy's _dcsrch.py (BSD-3 licensed), with its four cases in order.
+    """
+    opposite = dp < 0.0 < dx or dx < 0.0 < dp
+    if fp > fx:  # a higher value: the minimum is bracketed
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = _cubic_gamma(theta, dx, dp, stp < stx)
+        p = (gamma - dx) + theta
+        q = ((gamma - dx) + gamma) + dp
+        stpc = stx + p / q * (stp - stx)
+        stpq = stx + dx / ((fx - fp) / (stp - stx) + dx) / 2.0 * (stp - stx)
+        stpf = stpc if abs(stpc - stx) < abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif opposite:  # a lower value and slopes of opposite sign: bracketed
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = _cubic_gamma(theta, dx, dp, stp > stx)
+        p = (gamma - dp) + theta
+        q = ((gamma - dp) + gamma) + dx
+        stpc = stp + p / q * (stx - stp)
+        stpq = stp + dp / (dp - dx) * (stx - stp)
+        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        brackt = True
+    elif abs(dp) < abs(dx):  # a lower value, same signs, a shrinking slope
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = _cubic_gamma(theta, dx, dp, stp > stx)
+        p = (gamma - dp) + theta
+        q = (gamma + (dx - dp)) + gamma
+        r = p / q
+        if r < 0.0 and gamma != 0.0:
+            stpc = stp + r * (stx - stp)
+        else:  # the cubic's minimum lies beyond stp, or it has none
+            stpc = stmax if stp > stx else stmin
+        stpq = stp + dp / (dp - dx) * (stx - stp)
+        if brackt:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            bound = stp + 0.66 * (sty - stp)
+            stpf = min(bound, stpf) if stp > stx else max(bound, stpf)
+        else:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            stpf = max(stmin, min(stmax, stpf))
+    elif brackt:  # a lower value, same signs, a slope that does not shrink
+        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+        gamma = _cubic_gamma(theta, dy, dp, stp > sty)
+        p = (gamma - dp) + theta
+        q = ((gamma - dp) + gamma) + dy
+        stpf = stp + p / q * (sty - stp)
+    else:
+        stpf = stmax if stp > stx else stmin
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if opposite:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
+
+
+def _line_search(phi, f0: float, g0: float, stp: float):
+    """A strong-Wolfe step along a descent direction, as MINPACK-2's dcsrch.
+
+    phi(stp) returns the value and slope at stp; f0 and g0 < 0 are those at
+    0 and stp is the first trial.  Returns the accepted (stp, f, g).  Like
+    L-BFGS-B it accepts on any of dcsrch's warnings as on convergence.  It
+    returns None at a trial value that is not finite, where dcstep would
+    step to NaN, or after _LS_MAX_EVALUATIONS trials without an accepted
+    step.
+    """
+    brackt, stage1 = False, True
+    gtest = _LS_FTOL * g0
+    width, width1 = _STEP_MAX, 2.0 * _STEP_MAX  # the interval's last two widths
+    stx = sty = 0.0
+    fx = fy = f0
+    gx = gy = g0
+    stmin, stmax = 0.0, stp + 4.0 * stp
+    for _ in range(_LS_MAX_EVALUATIONS):
+        f, g = phi(stp)
+        if not (math.isfinite(f) and math.isfinite(g)):
+            return None
+        ftest = f0 + stp * gtest
+        if stage1 and f <= ftest and g >= 0.0:
+            stage1 = False
+        if ((brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= _LS_XTOL * stmax))
+                or (stp == _STEP_MAX and f <= ftest and g <= gtest)
+                or (stp == 0.0 and (f > ftest or g >= gtest))
+                or (f <= ftest and abs(g) <= _LS_GTOL * -g0)):
+            return stp, f, g
+        if stage1 and fx >= f > ftest:
+            # a lower value, but not low enough: step on psi = f - stp gtest
+            stx, fxm, gxm, sty, fym, gym, stp, brackt = _dcstep(
+                stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest,
+                gy - gtest, stp, f - stp * gtest, g - gtest, brackt, stmin, stmax)
+            fx, fy = fxm + stx * gtest, fym + sty * gtest
+            gx, gy = gxm + gtest, gym + gtest
+        else:
+            stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                stx, fx, gx, sty, fy, gy, stp, f, g, brackt, stmin, stmax)
+        if brackt:
+            if abs(sty - stx) >= 0.66 * width1:  # too little shrinkage: bisect
+                stp = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
+        stp = min(max(stp, 0.0), _STEP_MAX)
+        if brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= _LS_XTOL * stmax):
+            stp = stx  # no further progress is possible: the best step so far
+    return None
+
+
+def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
+    """The direction -H g for the L-BFGS inverse Hessian H of the pairs.
+
+    The two-loop recursion (Nocedal & Wright, Algorithm 7.4) over the (s,
+    y, s.y) pairs, oldest first, with H0 = gamma I and gamma = s.y / y.y
+    of the newest pair.  With no pairs the direction is -g.
+    """
+    if not pairs:
+        return -g
+    q = g.copy()
+    alphas = []
+    for s, y, sy in reversed(pairs):
+        alpha = (1.0 / sy) * s.dot(q)
+        q -= alpha * y
+        alphas.append(alpha)
+    _, y, sy = pairs[-1]
+    q *= sy / y.dot(y)
+    for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - (1.0 / sy) * y.dot(q)) * s
+    return -q
+
+
+def _lbfgs(fun, x: np.ndarray, gtol: float):
+    """Minimize fun from x by L-BFGS with Moré–Thuente line searches.
+
+    fun(x) returns the value and gradient.  The stop rules, the update skip
+    and the restart follow L-BFGS-B with no bounds, so the descent follows
+    scipy's minimize(method="L-BFGS-B") to round-off.  Returns (x, f, g,
+    iterations, evaluations): the last accepted point, the accepted steps
+    and every call of fun (scipy's nit and nfev).
+    """
+    def phi(stp):
+        nonlocal evaluations, trial
+        evaluations += 1
+        x_new = x + stp * d
+        f_new, g_new = fun(x_new)
+        trial = x_new, g_new
+        return float(f_new), float(g_new.dot(d))
+
+    trial = None  # (x, g) of phi's latest evaluation
+    value, g = fun(x)
+    f = float(value)
+    evaluations, iterations = 1, 0
+    pairs = deque(maxlen=_MEMORY)  # (s, y, s.y), the oldest dropped first
+    stop = abs(g).max() <= gtol
+    while not stop:
+        d = _two_loop(g, pairs)
+        gd = float(g.dot(d))
+        step = None
+        if gd < 0.0:
+            # first trial: a unit-length step, then the quasi-Newton step
+            stp = min(1.0 / math.sqrt(d.dot(d)), _STEP_MAX) if iterations == 0 else 1.0
+            step = _line_search(phi, f, gd, stp)
+        if step is None:  # an ascent direction or a failed search: x stays
+            if not pairs:
+                break
+            pairs.clear()  # and restart from steepest descent
+            continue
+        stp, f_new, _ = step
+        x_new, g_new = trial
+        iterations += 1
+        stop = (abs(g_new).max() <= gtol or iterations >= _MAX_ITERATIONS
+                or evaluations > _MAX_EVALUATIONS
+                or f - f_new <= _F_REDUCTION * max(abs(f), abs(f_new), 1.0))
+        s, y = x_new - x, g_new - g
+        sy = float(s.dot(y))
+        if sy > _EPS * (-gd * stp):  # else skip the update
+            pairs.append((s, y, sy))
+        x, f, g = x_new, f_new, g_new
+    return x, f, g, iterations, evaluations
+
+
 def relax(n_ions: int, species: IonSpecies, modes: ModeFrequencies,
           wall: RotatingWallConfig, cfg: RelaxationConfig = RelaxationConfig()):
     """Minimize the rotating-frame potential; deterministic for fixed seed.
@@ -192,8 +400,6 @@ def relax(n_ions: int, species: IonSpecies, modes: ModeFrequencies,
     raises ConvergenceError with the descent's final configuration attached
     if its largest force component does not fall below the tolerance.
     """
-    from scipy.optimize import minimize
-
     if n_ions < 1:
         raise ValueError("need at least one ion")
     a0, e_scale, f_scale, kx, ky, beta = _trap_units(species, modes, wall)
@@ -218,25 +424,23 @@ def relax(n_ions: int, species: IonSpecies, modes: ModeFrequencies,
         return value, grad.reshape(-1)
 
     # L-BFGS stops once its largest gradient component is at most gtol, and
-    # convergence is decided below on that same gradient (res.jac is the
-    # gradient at res.x), so gtol needs no margin against the solver.  The
-    # factor 2 is the margin for the strict `< tol` and for a recheck at
-    # res.x * a0 / a0, which moves the gradient by round-off only.
-    res = minimize(fun, u.reshape(-1), jac=True, method="L-BFGS-B",
-                   options={"maxiter": _MAX_ITERATIONS, "ftol": 1e-18,
-                            "gtol": tol / 2.0, "maxcor": 20})
-    max_grad = float(np.max(np.abs(res.jac)))
+    # convergence is decided below on that same gradient (the one at the
+    # returned x), so gtol needs no margin against the solver.  The factor 2
+    # is the margin for the strict `< tol` and for a recheck at x * a0 / a0,
+    # which moves the gradient by round-off only.
+    x, value, grad, iterations, evaluations = _lbfgs(fun, u.reshape(-1), tol / 2.0)
+    max_grad = float(np.max(np.abs(grad)))
     converged = max_grad < tol
     max_force = max_grad * f_scale
     report = ConvergenceReport(
         converged=converged,
-        final_energy=float(res.fun * e_scale),
+        final_energy=value * e_scale,
         max_force=max_force,
-        iterations=int(res.nit),
-        evaluations=int(res.nfev),
+        iterations=iterations,
+        evaluations=evaluations,
         restarts_used=0,
     )
-    config = IonConfiguration(res.x.reshape(n_ions, 3) * a0)
+    config = IonConfiguration(x.reshape(n_ions, 3) * a0)
     if not converged:
         raise ConvergenceError(
             f"relaxation failed to reach {cfg.force_tolerance:.3g} N "

@@ -71,14 +71,14 @@ def test_scipy_is_imported_only_inside_functions():
 
 
 def test_scipy_subpackages_are_the_crystal_paths():
-    # the N-body crystal is the only program path that needs scipy: L-BFGS
-    # and the pair distances; a third subpackage is a test instrument or a
-    # new load on a path that starts without scipy
+    # the N-body crystal is the only program path that needs scipy, for its
+    # pair distances (L-BFGS is in-package); a second subpackage is a test
+    # instrument or a new load on a path that starts without scipy
     subpackages = {".".join(name.split(".")[:2])
                    for path in Path(penning_gyro.__file__).parent.glob("*.py")
                    for node in ast.walk(ast.parse(path.read_text()))
                    for name in _imported_modules(node) if name.split(".")[0] == "scipy"}
-    assert subpackages == {"scipy.optimize", "scipy.spatial"}
+    assert subpackages == {"scipy.spatial"}
 
 
 # the modules whose import loads numpy; the chain from the constants to the
